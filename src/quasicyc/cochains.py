@@ -43,6 +43,14 @@ class LawReport:
         )
 
 
+def _reduced_key(group: GroupSpec, gs) -> tuple:
+    out = []
+    for g in gs:
+        rg = group.reduce(g)
+        out.append(g if rg == g else rg)
+    return tuple(out)
+
+
 class Cochain2:
     """F: G^2 -> unit scalars; construct via from_expr / from_table."""
 
@@ -91,10 +99,18 @@ class Cochain2:
         return cls(group, lambda g, h: table[(g, h)], "table", validate=validate)
 
     def value(self, g, h) -> Scalar:
-        key = (self.group.reduce(g), self.group.reduce(h))
-        out = self._memo.get(key)
+        # the memo holds reduced keys only, so a caller's already-reduced
+        # tuples hit it directly and reduce runs only on a miss; a new key
+        # keeps the caller's tuples where they were already reduced
+        try:
+            out = self._memo.get((g, h))
+        except TypeError:  # unhashable coordinates, e.g. lists
+            out = None
         if out is None:
-            out = self._memo[key] = self._fn(*key)
+            key = _reduced_key(self.group, (g, h))
+            out = self._memo.get(key)
+            if out is None:
+                out = self._memo[key] = self._fn(*key)
         return out
 
     def inverse_value(self, g, h) -> Scalar:
@@ -113,11 +129,16 @@ class Cochain3:
         self.description = description
 
     def value(self, a, b, c) -> Scalar:
-        r = self.group.reduce
-        key = (r(a), r(b), r(c))
-        out = self._memo.get(key)
+        # keyed like Cochain2.value
+        try:
+            out = self._memo.get((a, b, c))
+        except TypeError:
+            out = None
         if out is None:
-            out = self._memo[key] = self._fn(*key)
+            key = _reduced_key(self.group, (a, b, c))
+            out = self._memo.get(key)
+            if out is None:
+                out = self._memo[key] = self._fn(*key)
         return out
 
 

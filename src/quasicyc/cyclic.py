@@ -97,6 +97,11 @@ def _mul_table(group: GroupSpec) -> dict:
     return {(a, b): group.mul(a, b) for a in els for b in els}
 
 
+@lru_cache(maxsize=None)
+def _inv_table(group: GroupSpec) -> dict:
+    return {g: group.inv(g) for g in _els(group)}
+
+
 def _index(group: GroupSpec, tail) -> int:
     pos = _pos(group)
     base = len(pos)
@@ -117,8 +122,12 @@ def index_tuples(group: GroupSpec, degree: int):
 
 def full_tuples(group: GroupSpec, degree: int):
     """All support tuples (g0, g1..gk) in vector order, g0 determined."""
+    mul, inv, e = _mul_table(group), _inv_table(group), group.identity()
     for tail in index_tuples(group, degree):
-        yield (group.inv(group.mul_all(tail)),) + tail
+        g = e
+        for h in tail:
+            g = mul[g, h]
+        yield (inv[g],) + tail
 
 
 class CyclicCochain:
@@ -311,7 +320,8 @@ def compose_pulls(*pulls):
         c = _ONE
         for p in pulls:
             t, ci = p(t)
-            c = c * ci
+            if ci is not _ONE:  # faces and degeneracies carry no coefficient
+                c = ci if c is _ONE else c * ci
         return t, c
 
     return pull
@@ -874,22 +884,6 @@ def identity_suite(
 # ---------------------------------------------------------------------------
 # cohomology dimensions
 
-def _operator_matrix(group, atoms, in_degree, out_degree):
-    """Dense matrix rows of sum(coeff * pull) : C^in -> C^out."""
-    dim_in = space_dim(group, in_degree)
-    zero = Scalar.zero()
-    rows = []
-    for full in full_tuples(group, out_degree):
-        row = [zero] * dim_in
-        for coeff, pull in atoms:
-            t_in, c = pull(full)
-            col = _index(group, t_in[1:])
-            v = c if coeff == 1 else coeff * c
-            row[col] = row[col] + v
-        rows.append(row)
-    return rows
-
-
 def lambda_minus_id_atoms(group, chi, k, wrap=None):
     lam = lambda_pull(group, chi, k)
     ident = identity_pull
@@ -923,50 +917,25 @@ def cohomology_dims(
 
         wrap = conjugator(twist)
 
-    b_mat = [
-        _operator_matrix(group, b_atoms(group, chi, k, wrap), k, k + 1)
-        for k in range(degree_max + 1)
-    ]
+    def b_rows(k):
+        return atom_rows(group, b_atoms(group, chi, k, wrap), k + 1)
 
     out = []
-    if which == "hh":
-        prev_rank = 0
-        for k in range(degree_max + 1):
-            rank_out, kernel = rank_kernel(b_mat[k])
-            dim_c = space_dim(group, k)
-            out.append({
-                "degree": k,
-                "dim_C": dim_c,
-                "rank_b_in": prev_rank,
-                "rank_b_out": rank_out,
-                "dim": (dim_c - rank_out) - prev_rank,
-            })
-            prev_rank = rank_out
-        return out
-
     prev_rank = 0
     for k in range(degree_max + 1):
-        lam_mat = _operator_matrix(
-            group, lambda_minus_id_atoms(group, chi, k, wrap), k, k
-        )
-        _, inv_basis = rank_kernel(lam_mat)
-        dim_c = len(inv_basis)
-        if dim_c:
-            cols = []
-            for v in inv_basis:
-                col = [Scalar.zero()] * space_dim(group, k + 1)
-                for j, x in enumerate(v):
-                    if x.is_zero():
-                        continue
-                    for r in range(len(col)):
-                        m = b_mat[k][r][j]
-                        if not m.is_zero():
-                            col[r] = col[r] + m * x
-                cols.append(col)
-            restricted = [[cols[c][r] for c in range(dim_c)] for r in range(len(cols[0]))]
-            rank_out, _ = rank_kernel(restricted)
+        dim_k = space_dim(group, k)
+        if which == "hh":
+            dim_c = dim_k
+            rank_out, _ = rank_kernel(_dense(b_rows(k), dim_k))
         else:
+            lam = atom_rows(group, lambda_minus_id_atoms(group, chi, k, wrap), k)
+            _, inv_basis = rank_kernel(_dense(lam, dim_k))
+            dim_c = len(inv_basis)
             rank_out = 0
+            if dim_c:
+                rows = b_rows(k)
+                images = [apply_rows(rows, v) for v in inv_basis]
+                rank_out, _ = rank_kernel([list(r) for r in zip(*images)])
         out.append({
             "degree": k,
             "dim_C": dim_c,

@@ -1,27 +1,84 @@
-"""Exact dense linear algebra over field scalars (rational or cyclotomic).
+"""Exact linear algebra over field scalars (rational or cyclotomic).
 
-Fraction-free elimination in the Bareiss scheme with first-nonzero
-pivoting: every intermediate entry is a quotient of minors, and each
-division is exact in the ring.  No pivot-size heuristics, so results are
-bit-for-bit deterministic for a given matrix.
+rank_kernel runs sparse Gauss-Jordan elimination: rows are {col: value}
+dicts, columns are taken in order, the pivot of a column is the first
+remaining row that holds it, and only rows holding the pivot column are
+touched.  Each pivot costs one field inverse; every other step is a
+multiply-subtract, and zeros are never stored.
+
+The output does not depend on the elimination scheme.  The pivot columns
+are the lexicographically first set of independent columns, which any
+exact column-ordered elimination finds, and the kernel vector with a 1 in
+free column f and 0 in every other free column is unique, so it is the
+one read off the reduced row echelon form.  Arithmetic is exact, so the
+result is bit-for-bit deterministic for a given matrix.
+
+Matrices whose entries are all rational are eliminated on their Fraction
+payloads and wrapped back into Scalars at the end: the same field, without
+the per-operation Scalar dispatch.
 """
 
 from __future__ import annotations
 
-from .scalars import LAURENT, Scalar
+from .scalars import CYCLOTOMIC, LAURENT, RingMismatch, Scalar
 
 
 class LaurentScalars(TypeError):
     """Matrix entries must live in a field; Laurent scalars are not one."""
 
 
-def _check_field(rows):
+def _check_field(rows) -> bool:
+    """Validate the entries; True when all of them are rational.
+
+    Cyclotomic entries must share one order N: two different cyclotomic
+    fields have no common ring here, whether or not their entries would
+    ever meet during elimination."""
+    orders = set()
     for row in rows:
         for x in row:
             if not isinstance(x, Scalar):
                 raise TypeError(f"matrix entries must be Scalars, got {type(x).__name__}")
             if x.tag == LAURENT:
                 raise LaurentScalars("matrix entries must be rational or cyclotomic")
+            if x.tag == CYCLOTOMIC:
+                orders.add(x.n)
+    if len(orders) > 1:
+        a, b = sorted(orders)[:2]
+        raise RingMismatch(f"cannot combine Q(zeta_{a}) with Q(zeta_{b})")
+    return not orders
+
+
+def _rref(rows, n: int, inverse) -> dict:
+    """Reduce the sparse rows (nonzero values only) in place; return
+    {pivot col: reduced row without its pivot entry}, whose entries all sit
+    in non-pivot columns.  Values only need +, -, *, truth and `inverse`."""
+    live = [r for r in rows if r]
+    pivots: dict = {}
+    for c in range(n):
+        if not live:
+            break
+        p = next((i for i, r in enumerate(live) if c in r), None)
+        if p is None:
+            continue
+        prow = live.pop(p)
+        inv = inverse(prow.pop(c))
+        for j in prow:
+            prow[j] = prow[j] * inv
+        for group in (live, pivots.values()):
+            for r in group:
+                f = r.pop(c, None)
+                if f is None:
+                    continue
+                for j, x in prow.items():
+                    v = r.get(j)
+                    v = -(f * x) if v is None else v - f * x
+                    if v:
+                        r[j] = v
+                    else:
+                        del r[j]
+        live = [r for r in live if r]
+        pivots[c] = prow
+    return pivots
 
 
 def rank_kernel(rows: list[list[Scalar]]) -> tuple[int, list[list[Scalar]]]:
@@ -30,52 +87,33 @@ def rank_kernel(rows: list[list[Scalar]]) -> tuple[int, list[list[Scalar]]]:
     Kernel vectors have a 1 in their free column and are returned in
     column order; rank + len(kernel) == number of columns.
     """
-    _check_field(rows)
+    rational = _check_field(rows)
     m = len(rows)
     n = len(rows[0]) if m else 0
     if any(len(r) != n for r in rows):
         raise ValueError("ragged matrix")
-    a = [list(r) for r in rows]
-    one = Scalar.one()
+    if rational:
+        sparse = [{j: x.payload for j, x in enumerate(r) if x.payload} for r in rows]
+        pivots = _rref(sparse, n, lambda x: 1 / x)
+        lift = Scalar.rational
+    else:
+        sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
+        pivots = _rref(sparse, n, Scalar.inverse)
+        lift = None
 
-    pivots: list[tuple[int, int]] = []  # (row, col) in elimination order
-    prev = one
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, m) if not a[i][c].is_zero()), None)
-        if p is None:
-            continue
-        if p != r:
-            a[r], a[p] = a[p], a[r]
-        piv = a[r][c]
-        for i in range(r + 1, m):
-            if all(a[i][j].is_zero() for j in range(c, n)):
-                continue
-            f = a[i][c]
-            for j in range(c, n):
-                a[i][j] = (piv * a[i][j] - f * a[r][j]) / prev
-        pivots.append((r, c))
-        prev = piv
-        r += 1
-        if r == m:
-            break
-
-    rank = len(pivots)
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(n) if c not in pivot_cols]
+    zero, one = Scalar.zero(), Scalar.one()
     kernel = []
-    zero = Scalar.zero()
-    for f in free_cols:
+    for f in range(n):
+        if f in pivots:
+            continue
         x = [zero] * n
         x[f] = one
-        for r, c in reversed(pivots):
-            s = zero
-            for j in range(c + 1, n):
-                if not x[j].is_zero():
-                    s = s + a[r][j] * x[j]
-            x[c] = -s / a[r][c]
+        for c, prow in pivots.items():
+            v = prow.get(f)
+            if v is not None:
+                x[c] = lift(-v) if lift else -v
         kernel.append(x)
-    return rank, kernel
+    return len(pivots), kernel
 
 
 def matrix_apply(rows: list[list[Scalar]], vec: list[Scalar]) -> list[Scalar]:

@@ -185,6 +185,10 @@ class Scalar:
     def __setattr__(self, *_):
         raise AttributeError("Scalar is immutable")
 
+    def __reduce__(self):
+        # the default slot restore would go through the blocked __setattr__
+        return (Scalar, (self.tag, self.n, self.payload, True))
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -208,11 +212,10 @@ class Scalar:
 
     @classmethod
     def root_of_unity(cls, N: int, k: int) -> "Scalar":
-        """Canonical representative of zeta_N^k."""
+        """Canonical representative of zeta_N^k, shared between calls."""
         if N < 1:
             raise ValueError("N must be >= 1")
-        k %= N
-        return cls.cyclotomic(N, [0] * k + [1])
+        return _root_of_unity(N, k % N)
 
     @classmethod
     def laurent(cls, terms) -> "Scalar":
@@ -403,6 +406,13 @@ class Scalar:
         if self.tag == CYCLOTOMIC:
             return f"Q(zeta_{self.n}): {self.render()}"
         return self.render()
+
+
+@lru_cache(maxsize=4096)
+def _root_of_unity(N: int, k: int) -> Scalar:
+    # Scalars are immutable, so every caller may hold the same instance;
+    # cochain memos then keep one payload per root instead of one per entry
+    return Scalar.cyclotomic(N, [0] * k + [1])
 
 
 def _render_terms(terms) -> str:

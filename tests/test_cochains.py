@@ -8,7 +8,7 @@ from quasicyc.cochains import (
     check_cochain_laws,
     coboundary_phi,
 )
-from quasicyc.groups import GroupSpec
+from quasicyc.groups import GroupSpec, SpecMismatch
 from quasicyc.presets import builtin
 from quasicyc.scalars import Scalar
 
@@ -152,3 +152,20 @@ def test_infinite_group_unitality_uses_window(torus_F):
     rep = check_cochain_laws(torus_F, "unital", "construction-window")
     assert rep.holds
     assert "window(auto" in rep.domain
+
+
+def test_memo_keys_are_reduced():
+    group = GroupSpec((4,))
+    F = Cochain2.from_expr(group, ("root_of_unity", 4), "i1*j1", validate=False)
+    assert F.value((1,), (1,)) == Scalar.root_of_unity(4, 1)
+    assert len(F._memo) == 1
+    assert F.value((5,), (1,)) == F.value((1,), (1,))
+    assert F.value([5], [-3]) == F.value((1,), (1,))
+    assert len(F._memo) == 1
+    phi = coboundary_phi(F)
+    assert phi.value([1], (2,), (7,)) == phi.value((1,), (2,), (3,))
+    assert len(phi._memo) == 1
+    with pytest.raises(SpecMismatch):
+        F.value((1, 0), (1,))
+    with pytest.raises(SpecMismatch):
+        phi.value((1,), (1,), (1, 1))

@@ -3,11 +3,117 @@ import random
 import pytest
 
 from quasicyc.linalg import LaurentScalars, matrix_apply, rank_kernel
-from quasicyc.scalars import Scalar
+from quasicyc.scalars import RingMismatch, Scalar
 
 
 def M(rows):
     return [[Scalar.rational(x) for x in row] for row in rows]
+
+
+def bareiss_rank_kernel(rows):
+    """Reference: dense fraction-free Bareiss elimination with first-nonzero
+    pivoting, then back-substitution for the kernel vector of each free column."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [list(r) for r in rows]
+    one = Scalar.one()
+
+    pivots = []  # (row, col) in elimination order
+    prev = one
+    r = 0
+    for c in range(n):
+        p = next((i for i in range(r, m) if not a[i][c].is_zero()), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+        piv = a[r][c]
+        for i in range(r + 1, m):
+            if all(a[i][j].is_zero() for j in range(c, n)):
+                continue
+            f = a[i][c]
+            for j in range(c, n):
+                a[i][j] = (piv * a[i][j] - f * a[r][j]) / prev
+        pivots.append((r, c))
+        prev = piv
+        r += 1
+        if r == m:
+            break
+
+    pivot_cols = [c for _, c in pivots]
+    kernel = []
+    zero = Scalar.zero()
+    for f in (c for c in range(n) if c not in pivot_cols):
+        x = [zero] * n
+        x[f] = one
+        for r, c in reversed(pivots):
+            s = zero
+            for j in range(c + 1, n):
+                if not x[j].is_zero():
+                    s = s + a[r][j] * x[j]
+            x[c] = -s / a[r][c]
+        kernel.append(x)
+    return len(pivots), kernel
+
+
+def dense_rational(rng, m, n, lo=-4, hi=4):
+    return M([[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)])
+
+
+def b_like(rng, m, n):
+    """Tall, sparse +-1 rows with a few entries each, like a face-sum b."""
+    rows = []
+    for _ in range(m):
+        row = [0] * n
+        for _ in range(rng.randint(0, 4)):
+            row[rng.randrange(n)] += rng.choice((1, -1))
+        rows.append(row)
+    return M(rows)
+
+
+def roots_of_unity(rng, N, m, n, density=0.5):
+    """Sums of N-th roots of unity, with ±1 and 0 mixed in."""
+    def entry():
+        if rng.random() > density:
+            return Scalar.zero()
+        x = Scalar.root_of_unity(N, rng.randrange(N))
+        if rng.random() < 0.3:
+            x = x - Scalar.root_of_unity(N, rng.randrange(N))
+        return x
+    return [[entry() for _ in range(n)] for _ in range(m)]
+
+
+def with_zero_lines(rng, rows):
+    """Zero out one random row and one random column."""
+    rows = [list(r) for r in rows]
+    if rows and rows[0]:
+        rows[rng.randrange(len(rows))] = [Scalar.zero()] * len(rows[0])
+        j = rng.randrange(len(rows[0]))
+        for r in rows:
+            r[j] = Scalar.zero()
+    return rows
+
+
+def seeded_cases():
+    rng = random.Random(20)
+    cases = [[], [[]], [[]] * 3, M([[0] * 4]), M([[0], [0], [0]])]
+    for _ in range(12):
+        cases.append(dense_rational(rng, rng.randint(1, 6), rng.randint(1, 6)))
+    cases.append(dense_rational(rng, 3, 7))  # m < n
+    cases.append(dense_rational(rng, 7, 3))  # m > n
+    for m, n in ((8, 4), (16, 8), (27, 9), (32, 16), (64, 16)):
+        cases.append(b_like(rng, m, n))
+    for N in (3, 8):
+        for m, n in ((3, 3), (4, 6), (6, 4), (9, 9)):
+            cases.append(roots_of_unity(rng, N, m, n))
+    for rows in list(cases[5:]):
+        cases.append(with_zero_lines(rng, rows))
+    return cases
+
+
+@pytest.mark.parametrize("rows", seeded_cases())
+def test_matches_bareiss_reference(rows):
+    assert rank_kernel(rows) == bareiss_rank_kernel(rows)
 
 
 def test_identity():
@@ -28,22 +134,22 @@ def test_known_rank():
 
 def test_kernel_annihilates_random():
     rng = random.Random(11)
-    for _ in range(25):
-        m, n = rng.randint(1, 6), rng.randint(1, 6)
-        rows = M([[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)])
+    cases = [dense_rational(rng, rng.randint(1, 6), rng.randint(1, 6)) for _ in range(25)]
+    cases += [b_like(rng, 32, 16), roots_of_unity(rng, 8, 5, 7), roots_of_unity(rng, 3, 7, 5)]
+    for rows in cases:
         rank, ker = rank_kernel(rows)
-        assert rank + len(ker) == n
+        assert rank + len(ker) == len(rows[0])
         for k in ker:
             assert all(v.is_zero() for v in matrix_apply(rows, k))
 
 
 def test_rank_equals_transpose_rank():
     rng = random.Random(12)
-    for _ in range(25):
-        m, n = rng.randint(1, 5), rng.randint(1, 5)
-        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
-        rt = [[rows[i][j] for i in range(m)] for j in range(n)]
-        assert rank_kernel(M(rows))[0] == rank_kernel(M(rt))[0]
+    cases = [dense_rational(rng, rng.randint(1, 5), rng.randint(1, 5), -3, 3) for _ in range(25)]
+    cases += [b_like(rng, 16, 8), roots_of_unity(rng, 8, 4, 6)]
+    for rows in cases:
+        rt = [list(col) for col in zip(*rows)]
+        assert rank_kernel(rows)[0] == rank_kernel(rt)[0]
 
 
 def test_cyclotomic_entries():
@@ -62,7 +168,21 @@ def test_laurent_rejected():
         rank_kernel([[Scalar.q_power(1)]])
 
 
+@pytest.mark.parametrize("shape", ["diagonal", "column"])
+def test_mixed_cyclotomic_orders_rejected(shape):
+    z3, z4 = Scalar.root_of_unity(3, 1), Scalar.root_of_unity(4, 1)
+    zero = Scalar.zero()
+    rows = [[z3, zero], [zero, z4]] if shape == "diagonal" else [[z3], [z4]]
+    with pytest.raises(RingMismatch):
+        rank_kernel(rows)
+
+
+def test_ragged_rejected():
+    with pytest.raises(ValueError):
+        rank_kernel(M([[1, 2], [3]]))
+
+
 def test_determinism():
     rng = random.Random(13)
-    rows = M([[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)])
-    assert rank_kernel(rows) == rank_kernel([list(r) for r in rows])
+    for rows in (dense_rational(rng, 4, 4, -3, 3), b_like(rng, 16, 8), roots_of_unity(rng, 8, 4, 4)):
+        assert rank_kernel(rows) == rank_kernel([list(r) for r in rows])

@@ -1,5 +1,7 @@
 """Scalar ring tests: canonical forms, ring axioms, serialization."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -51,6 +53,11 @@ def test_roots_of_unity_frozen_values():
     assert Scalar.root_of_unity(8, 4) == -1  # zeta_8^4 reduced mod x^4+1
     assert Scalar.root_of_unity(4, 1) ** 2 == -1
     assert Scalar.root_of_unity(1, 5) == 1
+
+
+def test_roots_of_unity_are_interned():
+    assert Scalar.root_of_unity(8, 3) is Scalar.root_of_unity(8, 11)
+    assert Scalar.root_of_unity(8, -5) is Scalar.root_of_unity(8, 3)
 
 
 def test_laurent_exponent_addition():
@@ -187,6 +194,13 @@ def scalars(draw):
 @given(scalars())
 def test_parse_render_round_trip(s):
     assert parse_scalar(s.to_text()) == s
+
+
+def test_pickle_and_deepcopy_round_trip_each_ring():
+    for s in (Scalar.rational(-3, 4), Scalar.root_of_unity(8, 3), Scalar.q_power(-2, 5)):
+        for back in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+            assert back == s and back.tag == s.tag and back.payload == s.payload
+            assert hash(back) == hash(s)
 
 
 @given(scalars(), scalars())
