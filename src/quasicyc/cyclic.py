@@ -320,8 +320,7 @@ def compose_pulls(*pulls):
         c = _ONE
         for p in pulls:
             t, ci = p(t)
-            if ci is not _ONE:  # faces and degeneracies carry no coefficient
-                c = ci if c is _ONE else c * ci
+            c = c * ci
         return t, c
 
     return pull

@@ -12,10 +12,6 @@ exact column-ordered elimination finds, and the kernel vector with a 1 in
 free column f and 0 in every other free column is unique, so it is the
 one read off the reduced row echelon form.  Arithmetic is exact, so the
 result is bit-for-bit deterministic for a given matrix.
-
-Matrices whose entries are all rational are eliminated on their Fraction
-payloads and wrapped back into Scalars at the end: the same field, without
-the per-operation Scalar dispatch.
 """
 
 from __future__ import annotations
@@ -27,8 +23,8 @@ class LaurentScalars(TypeError):
     """Matrix entries must live in a field; Laurent scalars are not one."""
 
 
-def _check_field(rows) -> bool:
-    """Validate the entries; True when all of them are rational.
+def _check_field(rows):
+    """Validate the entries before any elimination.
 
     Cyclotomic entries must share one order N: two different cyclotomic
     fields have no common ring here, whether or not their entries would
@@ -45,13 +41,12 @@ def _check_field(rows) -> bool:
     if len(orders) > 1:
         a, b = sorted(orders)[:2]
         raise RingMismatch(f"cannot combine Q(zeta_{a}) with Q(zeta_{b})")
-    return not orders
 
 
-def _rref(rows, n: int, inverse) -> dict:
+def _rref(rows, n: int) -> dict:
     """Reduce the sparse rows (nonzero values only) in place; return
     {pivot col: reduced row without its pivot entry}, whose entries all sit
-    in non-pivot columns.  Values only need +, -, *, truth and `inverse`."""
+    in non-pivot columns."""
     live = [r for r in rows if r]
     pivots: dict = {}
     for c in range(n):
@@ -61,7 +56,7 @@ def _rref(rows, n: int, inverse) -> dict:
         if p is None:
             continue
         prow = live.pop(p)
-        inv = inverse(prow.pop(c))
+        inv = prow.pop(c).inverse()
         for j in prow:
             prow[j] = prow[j] * inv
         for group in (live, pivots.values()):
@@ -87,19 +82,12 @@ def rank_kernel(rows: list[list[Scalar]]) -> tuple[int, list[list[Scalar]]]:
     Kernel vectors have a 1 in their free column and are returned in
     column order; rank + len(kernel) == number of columns.
     """
-    rational = _check_field(rows)
+    _check_field(rows)
     m = len(rows)
     n = len(rows[0]) if m else 0
     if any(len(r) != n for r in rows):
         raise ValueError("ragged matrix")
-    if rational:
-        sparse = [{j: x.payload for j, x in enumerate(r) if x.payload} for r in rows]
-        pivots = _rref(sparse, n, lambda x: 1 / x)
-        lift = Scalar.rational
-    else:
-        sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
-        pivots = _rref(sparse, n, Scalar.inverse)
-        lift = None
+    pivots = _rref([{j: x for j, x in enumerate(r) if x} for r in rows], n)
 
     zero, one = Scalar.zero(), Scalar.one()
     kernel = []
@@ -111,7 +99,7 @@ def rank_kernel(rows: list[list[Scalar]]) -> tuple[int, list[list[Scalar]]]:
         for c, prow in pivots.items():
             v = prow.get(f)
             if v is not None:
-                x[c] = lift(-v) if lift else -v
+                x[c] = -v
         kernel.append(x)
     return len(pivots), kernel
 
