@@ -25,7 +25,7 @@ import random
 import warnings
 from dataclasses import dataclass
 
-from .cochains import LawReport, braiding_R
+from .cochains import LawReport, braiding_R, domain_elements
 from .groups import GroupSpec, SpecMismatch
 from .quasialgebra import GradedElement
 from .scalars import Scalar
@@ -358,14 +358,6 @@ def character_closed(spec: CalculusSpec, which: str, gs) -> Scalar:
 # ---------------------------------------------------------------------------
 # law checking
 
-def _domain_elements(grp: GroupSpec, domain):
-    if domain == "exhaustive":
-        return grp.elements(), "exhaustive"
-    if isinstance(domain, tuple) and domain[0] == "window":
-        return grp.window_elements(domain[1]), f"window({domain[1]})"
-    raise ValueError(f"unknown domain {domain!r}")
-
-
 def _all_index_sets(n: int):
     out = []
     for r in range(n + 1):
@@ -396,7 +388,7 @@ def check_calculus(
 
     Laws: leibniz, d_squared, d_products_vanish, graded_trace, closedness.
     """
-    els, label = _domain_elements(spec.group, domain)
+    els, label = domain_elements(spec.group, domain)
     sets = _all_index_sets(spec.n)
     full = tuple(range(1, spec.n + 1))
 

@@ -26,7 +26,13 @@ from .calculus import (
     character_direct,
     check_calculus,
 )
-from .cochains import Cochain2, braiding_R, check_cochain_laws, coboundary_phi
+from .cochains import (
+    Cochain2,
+    braiding_R,
+    check_cochain_laws,
+    coboundary_phi,
+    domain_elements,
+)
 from .cyclic import (
     CyclicCochain,
     cohomology_dims,
@@ -104,7 +110,7 @@ def _suite_cochain(pre: Preset, args) -> list[dict]:
 def _suite_algebra(pre: Preset, args) -> list[dict]:
     F = pre.cochain()
     grp = pre.group
-    els = grp.elements() if not grp.free_rank else grp.window_elements(args.window)
+    els, _ = domain_elements(grp, _domain_for(pre, args.window))
     R = braiding_R(F)
     phi = coboundary_phi(F)
     rows = []
@@ -223,7 +229,7 @@ _SUITE_FNS = {
 def _cmd_table(pre: Preset, args) -> int:
     grp = pre.group
     F = pre.cochain() if args.twisted else None
-    els = grp.elements() if not grp.free_rank else grp.window_elements(1)
+    els, _ = domain_elements(grp, _domain_for(pre, 1))
     labels = [grp.render_element(g) for g in els]
     out = ["\t".join(["."] + labels)]
     for g in els:

@@ -113,9 +113,6 @@ class Cochain2:
                 out = self._memo[key] = self._fn(*key)
         return out
 
-    def inverse_value(self, g, h) -> Scalar:
-        return self.value(g, h).inverse()
-
 
 class Cochain3:
     """phi: G^3 -> unit scalars, same shape as Cochain2 but arity 3."""
@@ -169,10 +166,12 @@ def braiding_R(F: Cochain2) -> Cochain2:
 # ---------------------------------------------------------------------------
 # law checking
 
-def _domain_elements(group: GroupSpec, domain):
+def domain_elements(group: GroupSpec, domain):
+    """(elements, label) of a check domain: "exhaustive" (finite groups) or
+    ("window", b), the torsion part in full and free coordinates in [-b, b]."""
     if domain == "exhaustive":
         return group.elements(), "exhaustive"
-    if isinstance(domain, tuple) and domain[0] == "window":
+    if isinstance(domain, tuple) and len(domain) == 2 and domain[0] == "window":
         b = domain[1]
         return group.window_elements(b), f"window({b})"
     raise ValueError(f"unknown domain {domain!r}")
@@ -190,7 +189,7 @@ def check_cochain_laws(x, law: str, domain="exhaustive") -> LawReport:
         els = grp.sample_window(UNITALITY_WINDOW_MIN)
         label = f"window(auto, {len(els)} elements)"
     else:
-        els, label = _domain_elements(grp, domain)
+        els, label = domain_elements(grp, domain)
     e = grp.identity()
     one = Scalar.one()
 

@@ -13,8 +13,12 @@ operator:
 Every operator here is a sum of one-point pullbacks: a map sending the full
 output tuple to one input tuple and a unit coefficient.  Operator identities
 are checked pointwise on those pullbacks, which is equivalent to checking
-them against every cochain and much cheaper.  The extra degeneracy is
-s_{-1} = (-1)^n s_0 lambda^{-1} and the mixed-complex operators are
+them against every cochain and much cheaper.  Operators act on vectors
+only as sparse rows from atom_rows, streamed once or stored for reuse, and
+applied by the one applier apply_rows.
+
+The extra degeneracy is s_{-1} = (-1)^n s_0 lambda^{-1} and the
+mixed-complex operators are
 
     b = sum_i (-1)^i d_i      N = sum_{i=0}^k lambda^i
     B = (-1)^n N (s_{-1} - s_n)   with n = k-1 on degree-k input
@@ -31,12 +35,13 @@ rather than through any chain-level picture.
 from __future__ import annotations
 
 import itertools
+import random
 from functools import lru_cache
 
 from .cochains import LawReport
 from .groups import GroupSpec, InfiniteGroup
 from .linalg import rank_kernel
-from .scalars import RATIONAL, Scalar
+from .scalars import Scalar
 
 
 class IndexOutOfRange(ValueError):
@@ -335,21 +340,8 @@ def lambda_power_pull(group, chi, k, j):
 
 def _apply_atoms(phi: CyclicCochain, atoms, out_degree: int) -> CyclicCochain:
     """Sum of coeff * (pullback phi) over atoms, as a new cochain."""
-    grp = phi.group
-    vec = []
-    for full in full_tuples(grp, out_degree):
-        total = Scalar.zero()
-        for coeff, pull in atoms:
-            t_in, c = pull(full)
-            v = phi._at(t_in)
-            if v.is_zero():
-                continue
-            term = c * v
-            if coeff != 1:
-                term = coeff * term
-            total = total + term
-        vec.append(total)
-    return CyclicCochain(grp, phi.chi, out_degree, vec)
+    vec = apply_rows(atom_rows(phi.group, atoms, out_degree), phi.vec, Scalar.zero())
+    return CyclicCochain(phi.group, phi.chi, out_degree, vec)
 
 
 def apply_face(phi: CyclicCochain, i: int) -> CyclicCochain:
@@ -474,10 +466,10 @@ def apply_S(phi: CyclicCochain) -> CyclicCochain:
 
 
 def atom_rows(group, atoms, out_degree):
-    """Sparse rows [(col, coeff)] of sum(coeff * pull); build once, apply to
-    many vectors with apply_rows.  Rational unit coefficients are stored as
-    +1/-1 ints so the apply loop can skip scalar multiplication."""
-    rows = []
+    """Yield the sparse row [(col, coeff)] of sum(coeff * pull) at each output
+    tuple, in vector order.  Apply a stream once with apply_rows, or store it
+    with list() to apply it to many vectors.  Rational unit coefficients are
+    stored as +1/-1 ints so the apply loop can skip scalar multiplication."""
     one = Scalar.one()
     minus_one = Scalar.rational(-1)
     for full in full_tuples(group, out_degree):
@@ -491,18 +483,18 @@ def atom_rows(group, atoms, out_degree):
                 row.append((_index(group, t_in[1:]), -1))
             else:
                 row.append((_index(group, t_in[1:]), v))
-        rows.append(row)
-    return rows
+        yield row
 
 
-def apply_rows(rows, vec):
-    zero = Scalar.zero()
+def apply_rows(rows, vec, zero):
+    """Apply sparse rows to a vector of ints or Scalars; each output entry
+    starts from zero.  Under +-1 rows an int vector stays an int vector."""
     out = []
     for row in rows:
         acc = zero
         for col, c in row:
             x = vec[col]
-            if x.is_zero():
+            if not x:
                 continue
             if c == 1:
                 acc = acc + x
@@ -525,112 +517,52 @@ class OperatorCache:
         self._rows = {}
 
     def rows(self, op: str, degree: int):
+        """Stored rows of op on C^degree, built on first use."""
         key = (op, degree)
         if key not in self._rows:
             grp, chi = self.group, self.chi
             if op == "b":
-                self._rows[key] = atom_rows(grp, b_atoms(grp, chi, degree), degree + 1)
+                atoms = b_atoms(grp, chi, degree)
             elif op == "B":
-                self._rows[key] = atom_rows(grp, B_atoms(grp, chi, degree), degree - 1)
+                atoms = B_atoms(grp, chi, degree)
             elif op == "N":
-                self._rows[key] = atom_rows(grp, n_atoms(grp, chi, degree), degree)
+                atoms = n_atoms(grp, chi, degree)
             elif op == "lambda":
-                self._rows[key] = atom_rows(
-                    grp, [(1, lambda_pull(grp, chi, degree))], degree
-                )
+                atoms = [(1, lambda_pull(grp, chi, degree))]
             else:
                 raise ValueError(f"unknown operator {op!r}")
+            self._rows[key] = list(atom_rows(grp, atoms, degree + self.OPS[op]))
         return self._rows[key]
 
     def apply(self, op: str, phi: CyclicCochain) -> CyclicCochain:
         return CyclicCochain(
             self.group, self.chi, phi.degree + self.OPS[op],
-            apply_rows(self.rows(op, phi.degree), phi.vec),
+            apply_rows(self.rows(op, phi.degree), phi.vec, Scalar.zero()),
         )
-
-
-def _rows_are_units(rows) -> bool:
-    return all(c == 1 or c == -1 for row in rows for _, c in row)
-
-
-def _apply_raw(rows, vec):
-    """apply_rows on plain integer vectors; rows must be +-1 only."""
-    out = []
-    for row in rows:
-        acc = 0
-        for col, c in row:
-            x = vec[col]
-            if x:
-                acc = acc + x if c == 1 else acc - x
-        out.append(acc)
-    return out
-
-
-def _atoms_apply_raw(group, atoms, out_degree, vec):
-    """One-shot streaming apply on an integer vector, no row storage; None
-    when some coefficient is not a rational unit."""
-    out = []
-    for full in full_tuples(group, out_degree):
-        acc = 0
-        for coeff, pull in atoms:
-            t_in, c = pull(full)
-            x = vec[_index(group, t_in[1:])]
-            if not x:
-                continue
-            if c.tag != RATIONAL:
-                return None
-            p = c.payload
-            if p == 1:
-                acc += coeff * x
-            elif p == -1:
-                acc -= coeff * x
-            else:
-                return None
-        out.append(acc)
-    return out
 
 
 def mixed_complex_report(
     group: GroupSpec, chi, degree_max: int, count: int = 50, seed: int = 0
 ) -> list[LawReport]:
     """b^2 = 0, B^2 = 0, bB + Bb = 0, lambda^(k+1) = id, N(lambda - id) = 0
-    on seeded random integer cochains.  Uses plain integer vectors whenever
-    every operator coefficient is a rational unit (true for trivial and sign
-    characters), falling back to scalar vectors otherwise.
+    on seeded random integer cochains.  The vectors start as plain ints and
+    stay ints under +-1 rows (trivial and sign characters); a cyclotomic
+    coefficient turns the entries it touches into Scalars.
     """
-    import random as _random
-
     chi = group.check_weight(chi)
     ops = OperatorCache(group, chi)
-    needed = (
-        [("b", k) for k in range(degree_max + 2)]
-        + [("lambda", k) for k in range(degree_max + 1)]
-        + [("N", k) for k in range(degree_max + 1)]
-        + [("B", k) for k in range(1, degree_max + 2)]
-    )
-    raw = all(_rows_are_units(ops.rows(op, k)) for op, k in needed)
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     domain = f"{count} random cochains per degree <= {degree_max}"
     fails = {}
 
     def run(op, k, vec):
-        if raw:
-            return _apply_raw(ops.rows(op, k), vec)
-        return apply_rows(ops.rows(op, k), vec)
-
-    def is_zero(vec):
-        if raw:
-            return not any(vec)
-        return all(v.is_zero() for v in vec)
+        return apply_rows(ops.rows(op, k), vec, 0)
 
     for k in range(degree_max + 1):
         for trial in range(count):
-            if raw:
-                vec = [rng.randint(-3, 3) for _ in range(space_dim(group, k))]
-            else:
-                vec = CyclicCochain.random(group, chi, k, rng).vec
+            vec = [rng.randint(-3, 3) for _ in range(space_dim(group, k))]
             tag = f"degree {k} trial {trial}"
-            if not is_zero(run("b", k + 1, run("b", k, vec))):
+            if any(run("b", k + 1, run("b", k, vec))):
                 fails.setdefault("b_squared", tag)
             lam = vec
             for _ in range(k + 1):
@@ -649,10 +581,10 @@ def mixed_complex_report(
                         run("B", k + 1, run("b", k, vec)),
                     )
                 ]
-                if not is_zero(anti):
+                if any(anti):
                     fails.setdefault("bB_plus_Bb", tag)
             if k >= 2:
-                if not is_zero(run("B", k - 1, run("B", k, vec))):
+                if any(run("B", k - 1, run("B", k, vec))):
                     fails.setdefault("B_squared", tag)
 
     return [
@@ -718,6 +650,26 @@ def periodicity_report(
 # ---------------------------------------------------------------------------
 # pointwise identity suite
 
+def sample_tuples(group: GroupSpec, degree: int, window, samples: int, seed) -> list:
+    """Support tuples of the given degree for a pointwise check.
+
+    A finite group gives every support tuple and ignores the window.  An
+    infinite group gives the identity tuple plus `samples` tuples whose
+    tails are drawn from window_elements(window), seeded by seed and degree.
+    """
+    if not group.free_rank:
+        return list(full_tuples(group, degree))
+    if window is None:
+        raise InfiniteGroup("sampling an infinite group needs a window")
+    wels = tuple(group.window_elements(window))
+    rng = random.Random(f"{seed}:{degree}")
+    out = [(group.identity(),) * (degree + 1)]
+    for _ in range(samples):
+        tail = tuple(rng.choice(wels) for _ in range(degree))
+        out.append((group.inv(group.mul_all(tail)),) + tail)
+    return out
+
+
 def _sides_equal(tuples, lhs, rhs):
     sign1, pulls1 = lhs
     sign2, pulls2 = rhs
@@ -752,34 +704,23 @@ def identity_suite(
 
     wrap(pull, in_degree, out_degree) -> pull conjugates each atom; used by
     the twist module to run the same suite on the twisted operators.
-    Finite groups are exhaustive; an infinite group needs a window bound
-    and draws `samples` seeded tuples per case from it.
+    The tuples are those of sample_tuples: every support tuple on a finite
+    group, the identity tuple plus `samples` seeded tuples from the window
+    on an infinite one.
     """
-    import random as _random
-
     chi = group.check_weight(chi)
     W = wrap if wrap is not None else (lambda pull, k_in, k_out: pull)
     if group.free_rank and window is None:
         raise InfiniteGroup("identity suite on an infinite group needs a window")
+    domain = f"pointwise, degrees <= {degree_max}"
+    if group.free_rank:
+        domain += f", window({window}) x{samples}"
+    pool = {}
 
-    if window is None:
-        def tuples_for(out_degree):
-            return full_tuples(group, out_degree)
-        domain = f"pointwise, degrees <= {degree_max}"
-    else:
-        wels = tuple(group.window_elements(window))
-        pool = {}
-
-        def tuples_for(out_degree):
-            if out_degree not in pool:
-                rng = _random.Random(f"{seed}:{out_degree}")
-                fixed = [(group.identity(),) * (out_degree + 1)]
-                for _ in range(samples):
-                    tail = tuple(rng.choice(wels) for _ in range(out_degree))
-                    fixed.append((group.inv(group.mul_all(tail)),) + tail)
-                pool[out_degree] = fixed
-            return pool[out_degree]
-        domain = f"pointwise, degrees <= {degree_max}, window({window}) x{samples}"
+    def tuples_for(out_degree):
+        if out_degree not in pool:
+            pool[out_degree] = sample_tuples(group, out_degree, window, samples, seed)
+        return pool[out_degree]
 
     def F(k, i):
         return W(face_pull(group, chi, k, i), k, k + 1)
@@ -932,8 +873,8 @@ def cohomology_dims(
             dim_c = len(inv_basis)
             rank_out = 0
             if dim_c:
-                rows = b_rows(k)
-                images = [apply_rows(rows, v) for v in inv_basis]
+                rows = list(b_rows(k))
+                images = [apply_rows(rows, v, Scalar.zero()) for v in inv_basis]
                 rank_out, _ = rank_kernel([list(r) for r in zip(*images)])
         out.append({
             "degree": k,

@@ -74,10 +74,11 @@ class GroupSpec:
             raise SpecMismatch(
                 f"element has {len(coords)} coordinates, spec wants {self.rank}"
             )
-        return tuple(
-            c % self.cyclic_orders[i] if i < self.torsion_rank else int(c)
-            for i, c in enumerate(coords)
-        )
+        orders = self.cyclic_orders
+        out = tuple(c % m for c, m in zip(coords, orders))
+        if self.free_rank:
+            out += tuple(int(c) for c in coords[len(orders):])
+        return out
 
     def identity(self) -> Element:
         return (0,) * self.rank

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cochains import Cochain2, LawReport, braiding_R, coboundary_phi
+from .cochains import Cochain2, LawReport, braiding_R, coboundary_phi, domain_elements
 from .groups import GroupSpec, SpecMismatch
 from .scalars import Scalar
 
@@ -148,10 +148,7 @@ def ribbon_apply(group: GroupSpec, weight, a: GradedElement) -> GradedElement:
 def check_ribbon_axiom(F: Cochain2, weight, domain="exhaustive") -> LawReport:
     """sigma(g.h) = R_F(h,g) R_F(g,h) sigma(g).sigma(h) over the domain."""
     grp = F.group
-    if domain == "exhaustive":
-        els, label = grp.elements(), "exhaustive"
-    else:
-        els, label = grp.window_elements(domain[1]), f"window({domain[1]})"
+    els, label = domain_elements(grp, domain)
     R = braiding_R(F)
     for g in els:
         for h in els:

@@ -30,9 +30,11 @@ from .cyclic import (
     b_atoms,
     _apply_atoms,
     cohomology_dims,
+    face_pull,
     full_tuples,
     identity_suite,
     lambda_pull,
+    sample_tuples,
     space_dim,
 )
 from .groups import GroupSpec, InfiniteGroup
@@ -153,42 +155,8 @@ def direct_lambda_factor(F: Cochain2, chi, k: int, t: tuple) -> Scalar:
     return -c if k % 2 else c
 
 
-def conjugated_face_factor(F: Cochain2, chi, k: int, i: int, t: tuple) -> Scalar:
-    """Scalar factor of the conjugated face at output tuple t, for the
-    direct-vs-conjugated comparison."""
-    grp = F.group
-    pref = TransportPrefactor(F)
-    if i <= k:
-        t_in = t[:i] + (grp.mul(t[i], t[i + 1]),) + t[i + 2:]
-        base = Scalar.one()
-    else:
-        t_in = (grp.mul(t[k + 1], t[0]),) + t[1:k + 1]
-        base = grp.char_eval(chi, t[k + 1])
-    return pref.value(t) * base * pref.inverse_value(t_in)
-
-
-def conjugated_lambda_factor(F: Cochain2, chi, k: int, t: tuple) -> Scalar:
-    grp = F.group
-    pref = TransportPrefactor(F)
-    t_in = (t[k],) + t[:k]
-    c = pref.value(t) * grp.char_eval(chi, t[k]) * pref.inverse_value(t_in)
-    return -c if k % 2 else c
-
-
 # ---------------------------------------------------------------------------
 # verification harness
-
-def _sample_tuples(group, degree, window, samples, seed):
-    if not group.free_rank:
-        return list(full_tuples(group, degree))
-    wels = tuple(group.window_elements(window))
-    rng = random.Random(f"{seed}:{degree}")
-    out = [(group.identity(),) * (degree + 1)]
-    for _ in range(samples):
-        tail = tuple(rng.choice(wels) for _ in range(degree))
-        out.append((group.inv(group.mul_all(tail)),) + tail)
-    return out
-
 
 def _timestamp() -> str:
     # honor SOURCE_DATE_EPOCH so a rerun with the same inputs is
@@ -228,9 +196,12 @@ def verify_transport(
             entry["counterexample"] = counterexample
         identities.append(entry)
 
+    # one conjugator, so (a) and (d) read the same operators and memo
+    wrap = conjugator(F)
+
     # (a) cocyclic identities for the conjugated operators
     for rep in identity_suite(
-        group, chi, degree_max, wrap=conjugator(F),
+        group, chi, degree_max, wrap=wrap,
         window=window, samples=samples, seed=seed,
     ):
         add(
@@ -263,7 +234,7 @@ def verify_transport(
         n = calculus.n
         pref = TransportPrefactor(F)
         bad = None
-        for t in _sample_tuples(group, n, window, samples, seed):
+        for t in sample_tuples(group, n, window, samples, seed):
             twisted = character_direct(calculus, t, F)
             plain = character_direct(calculus, t, None)
             if twisted != pref.value(t) * plain:
@@ -274,11 +245,10 @@ def verify_transport(
     # (d) informational: direct group-like evaluators vs conjugation
     for k in range(degree_max + 1):
         disagree = None
-        for t in _sample_tuples(group, k + 1, window, samples, seed):
-            for i in range(k + 2):
-                if direct_face_factor(F, chi, k, i, t) != conjugated_face_factor(
-                    F, chi, k, i, t
-                ):
+        faces = [wrap(face_pull(group, chi, k, i), k, k + 1) for i in range(k + 2)]
+        for t in sample_tuples(group, k + 1, window, samples, seed):
+            for i, face in enumerate(faces):
+                if direct_face_factor(F, chi, k, i, t) != face(t)[1]:
                     disagree = f"face {i} at {t!r}"
                     break
             if disagree:
@@ -289,10 +259,9 @@ def verify_transport(
             disagree,
         )
         disagree = None
-        for t in _sample_tuples(group, k, window, samples, seed):
-            if direct_lambda_factor(F, chi, k, t) != conjugated_lambda_factor(
-                F, chi, k, t
-            ):
+        lam = wrap(lambda_pull(group, chi, k), k, k)
+        for t in sample_tuples(group, k, window, samples, seed):
+            if direct_lambda_factor(F, chi, k, t) != lam(t)[1]:
                 disagree = repr(t)
                 break
         add(

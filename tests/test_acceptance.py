@@ -19,8 +19,9 @@ from quasicyc.calculus import (
 from quasicyc.cochains import Cochain2, check_cochain_laws, coboundary_phi
 from quasicyc.cyclic import (
     CyclicCochain,
-    _atoms_apply_raw,
     apply_b,
+    apply_rows,
+    atom_rows,
     apply_lambda,
     b_atoms,
     cohomology_dims,
@@ -205,10 +206,11 @@ def test_07_periodicity_preserves_cyclic_cocycles():
             val = character_closed(spec, "general", t)
             assert val.tag == RATIONAL and val.payload.denominator == 1
             vec.append(int(val.payload))
-        sv = _atoms_apply_raw(E3, s_atoms(E3, OCT_CHI, 3), 5, vec)
-        assert sv is not None
-        assert _atoms_apply_raw(E3, [(1, lambda_pull(E3, OCT_CHI, 5))], 5, sv) == sv
-        bv = _atoms_apply_raw(E3, b_atoms(E3, OCT_CHI, 5), 6, sv)
+        sv = apply_rows(atom_rows(E3, s_atoms(E3, OCT_CHI, 3), 5), vec, 0)
+        assert all(type(v) is int for v in sv)
+        lam_rows = atom_rows(E3, [(1, lambda_pull(E3, OCT_CHI, 5))], 5)
+        assert apply_rows(lam_rows, sv, 0) == sv
+        bv = apply_rows(atom_rows(E3, b_atoms(E3, OCT_CHI, 5), 6), sv, 0)
         assert not any(bv)
 
 

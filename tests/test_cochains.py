@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from quasicyc.calculus import check_calculus
 from quasicyc.cochains import (
     Cochain2,
     braiding_R,
@@ -10,6 +11,7 @@ from quasicyc.cochains import (
 )
 from quasicyc.groups import GroupSpec, SpecMismatch
 from quasicyc.presets import builtin
+from quasicyc.quasialgebra import check_ribbon_axiom
 from quasicyc.scalars import Scalar
 
 Z2_3 = GroupSpec((2, 2, 2))
@@ -169,3 +171,13 @@ def test_memo_keys_are_reduced():
         F.value((1, 0), (1,))
     with pytest.raises(SpecMismatch):
         phi.value((1,), (1,), (1, 1))
+
+
+@pytest.mark.parametrize("domain", ["bogus", ("window",), ("bogus", 2)])
+def test_unknown_domain_rejected(oct_F, domain):
+    with pytest.raises(ValueError, match="unknown domain"):
+        check_cochain_laws(oct_F, "unital", domain)
+    with pytest.raises(ValueError, match="unknown domain"):
+        check_calculus(builtin("octonion").calculus(), "leibniz", domain=domain)
+    with pytest.raises(ValueError, match="unknown domain"):
+        check_ribbon_axiom(oct_F, (1, 1, 1), domain)

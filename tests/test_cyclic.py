@@ -234,12 +234,56 @@ def test_periodicity_report():
         assert rep.holds, str(rep)
 
 
-def test_raw_streaming_matches_rows():
-    from quasicyc.cyclic import _atoms_apply_raw, atom_rows, _apply_raw, b_atoms, space_dim
+@pytest.mark.parametrize("group, chi, op, units", [
+    (Z22, (1, 1), "b", True),
+    (GroupSpec((4,)), (1,), "lambda", False),
+    (GroupSpec((4,)), (1,), "b", False),
+])
+def test_apply_rows_streamed_stored_int_scalar(group, chi, op, units):
+    from quasicyc.cyclic import OperatorCache, apply_rows, atom_rows, b_atoms, lambda_pull
 
+    k = 2
+    if op == "b":
+        atoms, out_degree = b_atoms(group, chi, k), k + 1
+    else:
+        atoms, out_degree = [(1, lambda_pull(group, chi, k))], k
     rng = random.Random(17)
-    vec = [rng.randint(-3, 3) for _ in range(space_dim(Z22, 2))]
-    atoms = b_atoms(Z22, (1, 1), 2)
-    streamed = _atoms_apply_raw(Z22, atoms, 3, vec)
-    rows = atom_rows(Z22, atoms, 3)
-    assert streamed == _apply_raw(rows, vec)
+    ints = [rng.randint(-3, 3) for _ in range(space_dim(group, k))]
+    scalars = [Scalar.rational(x) for x in ints]
+    stored = OperatorCache(group, chi).rows(op, k)
+    assert stored == list(atom_rows(group, atoms, out_degree))
+
+    int_out = apply_rows(atom_rows(group, atoms, out_degree), ints, 0)
+    assert int_out == apply_rows(stored, ints, 0)
+    scalar_out = apply_rows(atom_rows(group, atoms, out_degree), scalars, Scalar.zero())
+    assert scalar_out == apply_rows(stored, scalars, Scalar.zero())
+    assert all(isinstance(v, Scalar) for v in scalar_out)
+    assert len(int_out) == len(scalar_out) == space_dim(group, out_degree)
+    for a, b in zip(int_out, scalar_out):
+        assert a == b
+    if units:
+        assert all(type(v) is int for v in int_out)
+    else:
+        assert any(isinstance(v, Scalar) and not v.is_rational() for v in int_out)
+
+
+def test_sample_tuples():
+    from quasicyc.cyclic import full_tuples, sample_tuples
+
+    # finite groups are exhaustive, window or not
+    assert sample_tuples(Z22, 2, 3, 5, 0) == list(full_tuples(Z22, 2))
+    assert sample_tuples(Z22, 2, None, 5, 0) == list(full_tuples(Z22, 2))
+    rep = identity_suite(Z2, SIGN, 1, window=2)[0]
+    assert rep.domain == "pointwise, degrees <= 1"
+
+    torus = builtin("torus").group
+    ts = sample_tuples(torus, 2, 2, 7, 3)
+    assert ts == sample_tuples(torus, 2, 2, 7, 3)
+    assert ts[0] == ((0, 0),) * 3 and len(ts) == 8
+    for t in ts:
+        assert torus.is_identity(torus.mul_all(t))
+        assert all(abs(c) <= 2 for g in t[1:] for c in g)
+    with pytest.raises(InfiniteGroup):
+        sample_tuples(torus, 2, None, 7, 3)
+    rep = identity_suite(torus, (), 1, window=2, samples=7)[0]
+    assert rep.domain == "pointwise, degrees <= 1, window(2) x7"

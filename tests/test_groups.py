@@ -25,6 +25,9 @@ def test_group_op_examples():
 
 def test_reduce_and_mismatch():
     assert Z2_3.reduce((3, -1, 4)) == (1, 1, 0)
+    assert GroupSpec((3,), 2).reduce([4, -5, 7]) == (1, -5, 7)
+    with pytest.raises(SpecMismatch):
+        GroupSpec((3,), 2).reduce((4, -5))
     with pytest.raises(SpecMismatch):
         Z2_3.mul((1, 0), (0, 1, 0))
     with pytest.raises(SpecMismatch):
