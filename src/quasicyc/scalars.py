@@ -13,13 +13,23 @@ Rationals embed losslessly into the other two rings and auto-promote in
 mixed arithmetic.  Values that are rational in content (a constant
 cyclotomic payload, a bare q^0 Laurent term) normalize down to the
 rational tag, so canonical form is unique across tags.  No floats.
+
+Every coefficient (the rational payload itself, each power-basis
+coordinate, each Laurent coefficient) is a Python int when it is integral
+and otherwise a lowest-terms Fraction with denominator > 1; never a bool or
+a float.  `_coef` enforces this wherever coefficients are produced.  The
+kernel's values are products of roots of unity (characters, cochain values,
+transport prefactors) with integer coordinates, so their arithmetic stays
+in int operations.  The representation is still unique per value, and since
+an integral Fraction compares and hashes equal to its int, equality,
+hashing and the text form are those of an all-Fraction representation.
+Division always goes through Fraction, so it stays exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 
 class RingMismatch(TypeError):
@@ -87,24 +97,41 @@ def cyclotomic_poly(N: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _cyc_reduce(N: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+def _coef(x):
+    """Canonical exact coefficient: an int when integral, else a lowest-terms
+    Fraction with denominator > 1.  Rejects floats; bools become ints."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise TypeError(f"not an exact coefficient: {x!r}")
+
+
+def _div(a, b):
+    # exact quotient; `a / b` on two ints would give a float
+    return _coef(Fraction(a, b))
+
+
+def _cyc_reduce(N: int, coeffs) -> tuple:
     """Reduce a coefficient list modulo Phi_N to degree < phi(N)."""
     phi = cyclotomic_poly(N)
     k = len(phi) - 1
     a = list(coeffs)
     for deg in range(len(a) - 1, k - 1, -1):
-        c = a[deg]
+        c = a.pop()
         if c:
-            for i in range(k + 1):
-                a[deg - k + i] -= c * phi[i]
-        a.pop()
-    while len(a) < k:
-        a.append(Fraction(0))
-    return tuple(a)
+            for i in range(k):
+                if phi[i]:
+                    a[deg - k + i] -= c * phi[i]
+    if len(a) < k:
+        a.extend([0] * (k - len(a)))
+    return tuple([c if type(c) is int else _coef(c) for c in a])
 
 
-def _cyc_mul(N: int, a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _cyc_mul(N: int, a: tuple, b: tuple) -> tuple:
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
@@ -113,16 +140,16 @@ def _cyc_mul(N: int, a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[
     return _cyc_reduce(N, out)
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
+def _poly_divmod(a: list, b: list):
     # over Q, b nonzero
     a = list(a)
     db = len(b) - 1
     while db >= 0 and b[db] == 0:
         db -= 1
-    quo = [Fraction(0)] * max(len(a) - db, 1)
+    quo = [0] * max(len(a) - db, 1)
     for k in range(len(a) - 1 - db, -1, -1):
         if len(a) > k + db and a[k + db]:
-            c = a[k + db] / b[db]
+            c = _div(a[k + db], b[db])
             quo[k] = c
             for i in range(db + 1):
                 a[k + i] -= c * b[i]
@@ -131,23 +158,23 @@ def _poly_divmod(a: list[Fraction], b: list[Fraction]):
     return quo, a
 
 
-def _cyc_inverse(N: int, a: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def _cyc_inverse(N: int, a: tuple) -> tuple:
     """Inverse modulo Phi_N by the extended Euclidean algorithm over Q[x]."""
     if all(c == 0 for c in a):
         raise ZeroDivisionError("scalar inverse of zero")
-    r0 = [Fraction(c) for c in cyclotomic_poly(N)]
+    r0 = list(cyclotomic_poly(N))
     r1 = list(a)
-    s0, s1 = [Fraction(0)], [Fraction(1)]
+    s0, s1 = [0], [1]
     while any(c != 0 for c in r1):
         q, r = _poly_divmod(r0, r1)
         # s_next = s0 - q*s1
-        prod = [Fraction(0)] * (len(q) + len(s1) - 1)
+        prod = [0] * (len(q) + len(s1) - 1)
         for i, qi in enumerate(q):
             if qi:
                 for j, sj in enumerate(s1):
                     prod[i + j] += qi * sj
         s_next = [
-            (s0[i] if i < len(s0) else Fraction(0)) - (prod[i] if i < len(prod) else Fraction(0))
+            (s0[i] if i < len(s0) else 0) - (prod[i] if i < len(prod) else 0)
             for i in range(max(len(s0), len(prod)))
         ]
         r0, r1 = r1, r
@@ -155,19 +182,10 @@ def _cyc_inverse(N: int, a: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     g = r0  # gcd, a nonzero constant since Phi_N is irreducible over Q
     if len(g) != 1 or g[0] == 0:
         raise ZeroDivisionError("noninvertible cyclotomic payload")
-    inv = [c / g[0] for c in s0]
-    return _cyc_reduce(N, inv)
+    return _cyc_reduce(N, [_div(c, g[0]) for c in s0])
 
 
 # ---------------------------------------------------------------------------
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"not an exact coefficient: {x!r}")
-
 
 class Scalar:
     """Immutable exact scalar; see module docstring for the three rings."""
@@ -193,22 +211,19 @@ class Scalar:
 
     @classmethod
     def rational(cls, p, q=1) -> "Scalar":
-        return cls(RATIONAL, 0, Fraction(p, q) if q != 1 else _as_fraction(p), _raw=True)
+        return _make(RATIONAL, 0, _div(p, q) if q != 1 else _coef(p))
 
     @classmethod
     def zero(cls) -> "Scalar":
-        return cls.rational(0)
+        return _ZERO
 
     @classmethod
     def one(cls) -> "Scalar":
-        return cls.rational(1)
+        return _ONE
 
     @classmethod
     def cyclotomic(cls, N: int, coeffs) -> "Scalar":
-        vec = _cyc_reduce(N, [_as_fraction(c) for c in coeffs])
-        if all(c == 0 for c in vec[1:]):
-            return cls.rational(vec[0] if vec else 0)
-        return cls(CYCLOTOMIC, N, vec, _raw=True)
+        return _cyc_value(N, _cyc_reduce(N, [_coef(c) for c in coeffs]))
 
     @classmethod
     def root_of_unity(cls, N: int, k: int) -> "Scalar":
@@ -220,20 +235,15 @@ class Scalar:
     @classmethod
     def laurent(cls, terms) -> "Scalar":
         """terms: mapping or iterable of (exponent, coefficient) pairs."""
-        acc: dict[int, Fraction] = {}
+        acc = {}
         items = terms.items() if hasattr(terms, "items") else terms
         for e, c in items:
-            acc[e] = acc.get(e, Fraction(0)) + _as_fraction(c)
-        acc = {e: c for e, c in acc.items() if c != 0}
-        if not acc:
-            return cls.rational(0)
-        if set(acc) == {0}:
-            return cls.rational(acc[0])
-        return cls(LAURENT, 0, tuple(sorted(acc.items())), _raw=True)
+            acc[e] = acc.get(e, 0) + _coef(c)
+        return _laurent_value(acc)
 
     @classmethod
     def q_power(cls, k: int, coeff=1) -> "Scalar":
-        return cls.laurent([(k, coeff)])
+        return _laurent_value({k: _coef(coeff)})
 
     @classmethod
     def _coerce_operand(cls, x):
@@ -253,7 +263,7 @@ class Scalar:
         if a.tag == RATIONAL:
             if b.tag == CYCLOTOMIC:
                 k = len(b.payload)
-                return CYCLOTOMIC, b.n, (a.payload,) + (Fraction(0),) * (k - 1), b.payload
+                return CYCLOTOMIC, b.n, (a.payload,) + (0,) * (k - 1), b.payload
             if b.tag == LAURENT:
                 return LAURENT, 0, ((0, a.payload),) if a.payload else (), b.payload
         if b.tag == RATIONAL:
@@ -281,27 +291,30 @@ class Scalar:
         return not self.is_zero()
 
     def __add__(self, other):
-        other = Scalar._coerce_operand(other)
-        if other is None:
-            return NotImplemented
-        tag, n, pa, pb = self._promote(other)
+        if other.__class__ is Scalar and other.tag == self.tag and other.n == self.n:
+            tag, n, pa, pb = self.tag, self.n, self.payload, other.payload
+        else:
+            other = Scalar._coerce_operand(other)
+            if other is None:
+                return NotImplemented
+            tag, n, pa, pb = self._promote(other)
         if tag == RATIONAL:
-            return Scalar.rational(pa + pb)
+            return _make(RATIONAL, 0, _coef(pa + pb))
         if tag == CYCLOTOMIC:
-            return Scalar.cyclotomic(n, [x + y for x, y in zip(pa, pb)])
+            return _cyc_value(n, _cyc_reduce(n, [x + y for x, y in zip(pa, pb)]))
         acc = dict(pa)
         for e, c in pb:
-            acc[e] = acc.get(e, Fraction(0)) + c
-        return Scalar.laurent(acc)
+            acc[e] = acc.get(e, 0) + c
+        return _laurent_value(acc)
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.tag == RATIONAL:
-            return Scalar.rational(-self.payload)
+            return _make(RATIONAL, 0, -self.payload)
         if self.tag == CYCLOTOMIC:
-            return Scalar(CYCLOTOMIC, self.n, tuple(-c for c in self.payload), _raw=True)
-        return Scalar(LAURENT, 0, tuple((e, -c) for e, c in self.payload), _raw=True)
+            return _make(CYCLOTOMIC, self.n, tuple(-c for c in self.payload))
+        return _make(LAURENT, 0, tuple((e, -c) for e, c in self.payload))
 
     def __sub__(self, other):
         other = Scalar._coerce_operand(other)
@@ -316,20 +329,23 @@ class Scalar:
         return other + (-self)
 
     def __mul__(self, other):
-        other = Scalar._coerce_operand(other)
-        if other is None:
-            return NotImplemented
-        tag, n, pa, pb = self._promote(other)
+        if other.__class__ is Scalar and other.tag == self.tag and other.n == self.n:
+            tag, n, pa, pb = self.tag, self.n, self.payload, other.payload
+        else:
+            other = Scalar._coerce_operand(other)
+            if other is None:
+                return NotImplemented
+            tag, n, pa, pb = self._promote(other)
         if tag == RATIONAL:
-            return Scalar.rational(pa * pb)
+            return _make(RATIONAL, 0, _coef(pa * pb))
         if tag == CYCLOTOMIC:
-            return Scalar.cyclotomic(n, _cyc_mul(n, pa, pb))
-        acc: dict[int, Fraction] = {}
+            return _cyc_value(n, _cyc_mul(n, pa, pb))
+        acc = {}
         for e1, c1 in pa:
             for e2, c2 in pb:
                 e = e1 + e2
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        return Scalar.laurent(acc)
+                acc[e] = acc.get(e, 0) + c1 * c2
+        return _laurent_value(acc)
 
     __rmul__ = __mul__
 
@@ -337,13 +353,13 @@ class Scalar:
         if self.tag == RATIONAL:
             if self.payload == 0:
                 raise ZeroDivisionError("scalar inverse of zero")
-            return Scalar.rational(1 / self.payload)
+            return _make(RATIONAL, 0, _div(1, self.payload))
         if self.tag == CYCLOTOMIC:
-            return Scalar.cyclotomic(self.n, _cyc_inverse(self.n, self.payload))
+            return _cyc_value(self.n, _cyc_inverse(self.n, self.payload))
         if len(self.payload) != 1:
             raise NonUnitLaurent(f"not a unit in Q[q,q^-1]: {self}")
         (e, c), = self.payload
-        return Scalar.laurent([(-e, 1 / c)])
+        return _laurent_value({-e: _div(1, c)})
 
     def __truediv__(self, other):
         other = Scalar._coerce_operand(other)
@@ -373,10 +389,12 @@ class Scalar:
         return out
 
     def __eq__(self, other):
-        other = Scalar._coerce_operand(other)
-        if other is None:
-            return NotImplemented
-        return (self.tag, self.n, self.payload) == (other.tag, other.n, other.payload)
+        if isinstance(other, Scalar):
+            return (self.tag, self.n, self.payload) == (other.tag, other.n, other.payload)
+        if isinstance(other, (int, Fraction)):
+            # a plain number equals only a rational of the same value
+            return self.tag == RATIONAL and self.payload == other
+        return NotImplemented
 
     def __hash__(self):
         if self.tag == RATIONAL:
@@ -406,6 +424,42 @@ class Scalar:
         if self.tag == CYCLOTOMIC:
             return f"Q(zeta_{self.n}): {self.render()}"
         return self.render()
+
+
+_new = object.__new__
+_set_tag = Scalar.tag.__set__
+_set_n = Scalar.n.__set__
+_set_payload = Scalar.payload.__set__
+
+
+def _make(tag: str, n: int, payload) -> Scalar:
+    """Scalar around an already canonical payload; every internal producer
+    builds through here instead of the validating public constructors."""
+    s = _new(Scalar)
+    _set_tag(s, tag)
+    _set_n(s, n)
+    _set_payload(s, payload)
+    return s
+
+
+_ZERO = _make(RATIONAL, 0, 0)
+_ONE = _make(RATIONAL, 0, 1)
+
+
+def _cyc_value(N: int, vec: tuple) -> Scalar:
+    # vec is reduced and canonical; a constant one is a rational
+    if any(vec[1:]):
+        return _make(CYCLOTOMIC, N, vec)
+    return _make(RATIONAL, 0, vec[0])
+
+
+def _laurent_value(acc: dict) -> Scalar:
+    terms = tuple(sorted([(e, c if type(c) is int else _coef(c)) for e, c in acc.items() if c]))
+    if not terms:
+        return _ZERO
+    if len(terms) == 1 and terms[0][0] == 0:
+        return _make(RATIONAL, 0, terms[0][1])
+    return _make(LAURENT, 0, terms)
 
 
 @lru_cache(maxsize=4096)
@@ -459,19 +513,19 @@ def parse_scalar(text: str, ring: str = RATIONAL, N: int = 0) -> Scalar:
         acc: dict[int, Fraction] = {}
         for sign, term in terms:
             c, e = _parse_term(term, "q")
-            acc[e] = acc.get(e, Fraction(0)) + sign * c
+            acc[e] = acc.get(e, 0) + sign * c
         return Scalar.laurent(acc)
     if "z" in s or ring == CYCLOTOMIC:
         if N < 1:
             raise ValueError(f"cyclotomic text without ring header: {text!r}")
-        coeffs = [Fraction(0)] * euler_phi(N)
+        coeffs = [0] * euler_phi(N)
         for sign, term in terms:
             c, e = _parse_term(term, "z")
             if e >= len(coeffs):
-                coeffs.extend([Fraction(0)] * (e - len(coeffs) + 1))
+                coeffs.extend([0] * (e - len(coeffs) + 1))
             coeffs[e] += sign * c
         return Scalar.cyclotomic(N, coeffs)
-    total = Fraction(0)
+    total = 0
     for sign, term in terms:
         c, e = _parse_term(term, None)
         total += sign * c

@@ -207,3 +207,268 @@ def test_pickle_and_deepcopy_round_trip_each_ring():
 def test_equality_consistent_with_hash(a, b):
     if a == b:
         assert hash(a) == hash(b)
+    # scalars() builds from ints; the same values given as Fractions must
+    # land on the same canonical payload, equality and hash
+    for s in (a, b):
+        again = _rebuilt_from_fractions(s)
+        assert again == s and hash(again) == hash(s)
+        assert [type(c) for c in _coeffs(again)] == [type(c) for c in _coeffs(s)]
+
+
+def _rebuilt_from_fractions(s):
+    if s.tag == "rational":
+        return Scalar.rational(Fraction(s.payload))
+    if s.tag == "cyclotomic":
+        return Scalar.cyclotomic(s.n, [Fraction(c) for c in s.payload])
+    return Scalar.laurent({e: Fraction(c) for e, c in s.payload})
+
+
+# ---------------------------------------------------------------------------
+# Reference: the all-Fraction kernel that the int-first one replaced.  Values
+# are (tag, n, payload) triples with Fraction coefficients, exactly the
+# payloads that kernel stored.
+
+def _ref_cyc_reduce(N, coeffs):
+    phi = cyclotomic_poly(N)
+    k = len(phi) - 1
+    a = [Fraction(c) for c in coeffs]
+    for deg in range(len(a) - 1, k - 1, -1):
+        c = a[deg]
+        if c:
+            for i in range(k + 1):
+                a[deg - k + i] -= c * phi[i]
+        a.pop()
+    while len(a) < k:
+        a.append(Fraction(0))
+    return tuple(a)
+
+
+def _ref_cyc_mul(N, a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] += ai * bj
+    return _ref_cyc_reduce(N, out)
+
+
+def _ref_poly_divmod(a, b):
+    a = list(a)
+    db = len(b) - 1
+    while db >= 0 and b[db] == 0:
+        db -= 1
+    quo = [Fraction(0)] * max(len(a) - db, 1)
+    for k in range(len(a) - 1 - db, -1, -1):
+        if len(a) > k + db and a[k + db]:
+            c = a[k + db] / b[db]
+            quo[k] = c
+            for i in range(db + 1):
+                a[k + i] -= c * b[i]
+    while len(a) > 1 and a[-1] == 0:
+        a.pop()
+    return quo, a
+
+
+def _ref_cyc_inverse(N, a):
+    r0 = [Fraction(c) for c in cyclotomic_poly(N)]
+    r1 = list(a)
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while any(c != 0 for c in r1):
+        q, r = _ref_poly_divmod(r0, r1)
+        prod = [Fraction(0)] * (len(q) + len(s1) - 1)
+        for i, qi in enumerate(q):
+            if qi:
+                for j, sj in enumerate(s1):
+                    prod[i + j] += qi * sj
+        s_next = [
+            (s0[i] if i < len(s0) else Fraction(0)) - (prod[i] if i < len(prod) else Fraction(0))
+            for i in range(max(len(s0), len(prod)))
+        ]
+        r0, r1 = r1, r
+        s0, s1 = s1, s_next
+    return _ref_cyc_reduce(N, [c / r0[0] for c in s0])
+
+
+def _ref_cyclotomic(N, coeffs):
+    vec = _ref_cyc_reduce(N, coeffs)
+    if all(c == 0 for c in vec[1:]):
+        return ("rational", 0, vec[0])
+    return ("cyclotomic", N, vec)
+
+
+def _ref_laurent(pairs):
+    acc = {}
+    for e, c in pairs:
+        acc[e] = acc.get(e, Fraction(0)) + Fraction(c)
+    acc = {e: c for e, c in acc.items() if c != 0}
+    if not acc:
+        return ("rational", 0, Fraction(0))
+    if set(acc) == {0}:
+        return ("rational", 0, acc[0])
+    return ("laurent", 0, tuple(sorted(acc.items())))
+
+
+def _ref_promote(a, b):
+    if a[:2] == b[:2]:
+        return a[0], a[1], a[2], b[2]
+    if a[0] == "rational":
+        if b[0] == "cyclotomic":
+            return "cyclotomic", b[1], (a[2],) + (Fraction(0),) * (len(b[2]) - 1), b[2]
+        return "laurent", 0, ((0, a[2]),) if a[2] else (), b[2]
+    tag, n, pb, pa = _ref_promote(b, a)
+    return tag, n, pa, pb
+
+
+def _ref_add(a, b):
+    tag, n, pa, pb = _ref_promote(a, b)
+    if tag == "rational":
+        return (tag, 0, pa + pb)
+    if tag == "cyclotomic":
+        return _ref_cyclotomic(n, [x + y for x, y in zip(pa, pb)])
+    return _ref_laurent(list(pa) + list(pb))
+
+
+def _ref_mul(a, b):
+    tag, n, pa, pb = _ref_promote(a, b)
+    if tag == "rational":
+        return (tag, 0, pa * pb)
+    if tag == "cyclotomic":
+        return _ref_cyclotomic(n, _ref_cyc_mul(n, pa, pb))
+    return _ref_laurent([(e1 + e2, c1 * c2) for e1, c1 in pa for e2, c2 in pb])
+
+
+def _ref_neg(a):
+    if a[0] == "rational":
+        return (a[0], 0, -a[2])
+    if a[0] == "cyclotomic":
+        return (a[0], a[1], tuple(-c for c in a[2]))
+    return (a[0], 0, tuple((e, -c) for e, c in a[2]))
+
+
+def _ref_inverse(a):
+    if a[0] == "rational":
+        return (a[0], 0, 1 / a[2])
+    if a[0] == "cyclotomic":
+        return _ref_cyclotomic(a[1], _ref_cyc_inverse(a[1], a[2]))
+    (e, c), = a[2]
+    return _ref_laurent([(-e, 1 / c)])
+
+
+def _ref_pow(a, k):
+    if k < 0:
+        a, k = _ref_inverse(a), -k
+    out = ("rational", 0, Fraction(1))
+    for _ in range(k):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _coeffs(s):
+    if s.tag == "rational":
+        return [s.payload]
+    if s.tag == "cyclotomic":
+        return list(s.payload)
+    return [c for _, c in s.payload]
+
+
+def _assert_canonical(s):
+    # int when integral, else a lowest-terms Fraction; never bool or float
+    for c in _coeffs(s):
+        if type(c) is not int:
+            assert type(c) is Fraction and c.denominator > 1, (s, c)
+
+
+def _check(s, ref):
+    old = Scalar(*ref, _raw=True)  # the same value in the all-Fraction form
+    assert (s.tag, s.n, s.payload) == ref
+    assert s == old and hash(s) == hash(old)
+    assert s.to_text() == old.to_text()
+    _assert_canonical(s)
+
+
+def _random_coeff(rng):
+    if rng.random() < 0.6:
+        return rng.randint(-4, 4)
+    # denominators 1 and 2 also give integral Fractions
+    return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6]))
+
+
+def _random_operand(rng, ring, N):
+    if ring == "rational":
+        c = _random_coeff(rng)
+        return Scalar.rational(c), ("rational", 0, Fraction(c))
+    if ring == "cyclotomic":
+        coeffs = [_random_coeff(rng) for _ in range(rng.randint(1, N))]
+        return Scalar.cyclotomic(N, coeffs), _ref_cyclotomic(N, coeffs)
+    pairs = [(rng.randint(-4, 4), _random_coeff(rng)) for _ in range(rng.randint(1, 3))]
+    return Scalar.laurent(pairs), _ref_laurent(pairs)
+
+
+def _invertible(s):
+    return not s.is_zero() and (s.tag != "laurent" or len(s.payload) == 1)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 8, 12])
+def test_kernel_matches_fraction_reference(N):
+    rng = random.Random(1000 + N)
+    rings = ["rational", "cyclotomic", "laurent"]
+    for _ in range(300):
+        ra, rb = rng.choice(rings), rng.choice(rings)
+        if {ra, rb} == {"cyclotomic", "laurent"}:
+            rb = ra
+        a, ar = _random_operand(rng, ra, N)
+        b, br = _random_operand(rng, rb, N)
+        _check(a, ar)
+        _check(b, br)
+        _check(a * b, _ref_mul(ar, br))
+        _check(a + b, _ref_add(ar, br))
+        _check(a - b, _ref_add(ar, _ref_neg(br)))
+        _check(-a, _ref_neg(ar))
+        k = rng.randint(0, 4)
+        _check(a ** k, _ref_pow(ar, k))
+        if _invertible(a):
+            _check(a.inverse(), _ref_inverse(ar))
+            _check(a ** -2, _ref_pow(ar, -2))
+        if _invertible(b):
+            _check(a / b, _ref_mul(ar, _ref_inverse(br)))
+        # plain int and Fraction operands promote as rationals
+        c = _random_coeff(rng)
+        cr = ("rational", 0, Fraction(c))
+        _check(a * c, _ref_mul(ar, cr))
+        _check(c + a, _ref_add(cr, ar))
+        _check(c - a, _ref_add(cr, _ref_neg(ar)))
+
+
+def test_division_stays_exact():
+    def payload(s):
+        _assert_canonical(s)
+        return s.payload
+
+    third = payload(Scalar.rational(3).inverse())
+    assert type(third) is Fraction and third == Fraction(1, 3)
+    assert payload(Scalar.rational(-2, 4)) == Fraction(-1, 2)
+    two = payload(Scalar.rational(Fraction(4, 2)))
+    assert type(two) is int and two == 2
+    one = payload(Scalar.rational(True))
+    assert type(one) is int and one == 1
+    assert payload(Scalar.q_power(-5, 2).inverse()) == ((5, Fraction(1, 2)),)
+    assert payload(Scalar.q_power(3, -1).inverse()) == ((-3, -1),)
+    w = Scalar.cyclotomic(8, [1, 1, 0, 0])  # 1 + zeta_8, norm 2
+    inv = w.inverse()
+    assert inv * w == 1 and all(type(c) is Fraction for c in payload(inv))
+    assert all(type(c) is int for c in payload(Scalar.root_of_unity(8, 3).inverse()))
+    assert payload(Scalar.rational(6) / 3) == 2 and type(payload(Scalar.rational(6) / 3)) is int
+    assert payload(Scalar.rational(3) / Scalar.rational(6)) == Fraction(1, 2)
+    assert payload(1 / Scalar.rational(-4)) == Fraction(-1, 4)
+    for bad in (lambda: Scalar.rational(0.5), lambda: Scalar.cyclotomic(3, [1, 0.0]),
+                lambda: Scalar.laurent({1: 0.0}), lambda: Scalar.rational(1, 2.0)):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def test_zero_and_one_are_shared():
+    assert Scalar.zero() is Scalar.zero() and Scalar.one() is Scalar.one()
+    assert Scalar.zero().payload == 0 and Scalar.one().payload == 1
+    with pytest.raises(TypeError):
+        Scalar("rational", 0, 1)
