@@ -27,7 +27,6 @@ from .calculus import (
     check_calculus,
 )
 from .cochains import (
-    Cochain2,
     braiding_R,
     check_cochain_laws,
     coboundary_phi,

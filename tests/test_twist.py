@@ -101,10 +101,20 @@ def test_intertwining_random():
         assert (lhs - rhs).is_zero()
 
 
-def test_verify_transport_octonion():
+def test_verify_transport_octonion(monkeypatch):
+    built = []
+    init = TransportPrefactor.__init__
+
+    def counting_init(self, F):
+        built.append(F)
+        init(self, F)
+
+    monkeypatch.setattr(TransportPrefactor, "__init__", counting_init)
     cert = verify_transport(
         OCT_F, OCT_CHI, E3, 2, calculus=OCT.calculus(), preset="octonion"
     )
+    # parts (a)-(d) share one prefactor memo
+    assert built == [OCT_F]
     assert certificate_ok(cert)
     names = {row["name"]: row["status"] for row in cert["identities"]}
     assert names["transport_intertwines_b"] == "pass"
