@@ -22,12 +22,15 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    read = {
+        n.id for n in ast.walk(tree)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in read)
 
 
 def test_scanner_flags_unused_and_accepts_used():
-    src = "import os\nfrom math import gcd, pi\nimport a.b as c\nprint(pi, c)\n"
+    src = "import os\nfrom math import gcd, pi\nimport a.b as c\nprint(pi, c)\ngcd = 1\n"
     assert unused_imports(src) == ["gcd (line 2)", "os (line 1)"]
     assert unused_imports("from __future__ import annotations\n") == []
 
