@@ -62,29 +62,35 @@ def _pos(group: GroupSpec) -> dict:
     return {g: i for i, g in enumerate(_els(group))}
 
 
-class _LazyChi(dict):
+class _LazyChi:
+    """Character values on a group with a free part, computed per lookup."""
+
+    __slots__ = ("_group", "_weight")
+
     def __init__(self, group, weight):
-        super().__init__()
         self._group = group
         self._weight = weight
 
-    def __missing__(self, g):
-        v = self[g] = self._group.char_eval(self._weight, g)
-        return v
+    def __getitem__(self, g):
+        return self._group.char_eval(self._weight, g)
 
 
-class _LazyMul(dict):
+class _LazyMul:
+    """Products on a group with a free part, computed per lookup."""
+
+    __slots__ = ("_group",)
+
     def __init__(self, group):
-        super().__init__()
         self._group = group
 
-    def __missing__(self, key):
-        v = self[key] = self._group.mul(*key)
-        return v
+    def __getitem__(self, key):
+        return self._group.mul(*key)
 
 
+# Finite groups get eager dicts; on a group with a free part the lazy
+# objects store nothing, so these process-wide caches stay bounded.
 @lru_cache(maxsize=None)
-def _chi_table(group: GroupSpec, weight: tuple) -> dict:
+def _chi_table(group: GroupSpec, weight: tuple):
     if group.free_rank:
         return _LazyChi(group, weight)
     return {g: group.char_eval(weight, g) for g in _els(group)}
@@ -95,7 +101,7 @@ def _chi(group: GroupSpec, weight: tuple, g: tuple) -> Scalar:
 
 
 @lru_cache(maxsize=None)
-def _mul_table(group: GroupSpec) -> dict:
+def _mul_table(group: GroupSpec):
     if group.free_rank:
         return _LazyMul(group)
     els = _els(group)
@@ -325,7 +331,8 @@ def compose_pulls(*pulls):
         c = _ONE
         for p in pulls:
             t, ci = p(t)
-            c = c * ci
+            if ci is not _ONE:
+                c = ci if c is _ONE else c * ci
         return t, c
 
     return pull

@@ -11,6 +11,16 @@ Grammar (whitespace insignificant, single-token lookahead):
 1-based coordinate index.  Evaluation substitutes torsion coordinates as
 canonical residues and free coordinates as integers, and returns a raw
 integer; any modular reduction of the result belongs to the caller.
+
+On its first evaluation an AST is flattened once into a signed sum of
+products, kept on the root node: each product is an integer coefficient
+(literals folded in), a tuple of (argument, coordinate) factors and a
+tuple of nested sums.  Like products are collected, but a product is never
+distributed over a sum: a parenthesized sum inside a product stays one
+nested factor.  So the flat form has at most one product (nested ones
+included) per AST node and at most one factor per variable leaf, where
+full expansion of k factors of s-term sums would need up to s^k products.
+Evaluation is one loop over the products.
 """
 
 from __future__ import annotations
@@ -205,23 +215,97 @@ def _validate(node, arity: int, coords: int):
 
 def eval_expr(ast, args) -> int:
     """Evaluate at a tuple of group-element coordinate tuples."""
-    if isinstance(ast, Lit):
-        return ast.value
-    if isinstance(ast, Var):
-        if ast.arg >= len(args):
-            raise ArityError(f"expression needs {ast.arg + 1} arguments, got {len(args)}")
-        return args[ast.arg][ast.coord - 1]
-    if isinstance(ast, Add):
-        return eval_expr(ast.left, args) + eval_expr(ast.right, args)
-    if isinstance(ast, Sub):
-        return eval_expr(ast.left, args) - eval_expr(ast.right, args)
-    if isinstance(ast, Mul):
-        return eval_expr(ast.left, args) * eval_expr(ast.right, args)
-    if isinstance(ast, Neg):
-        return -eval_expr(ast.operand, args)
-    if isinstance(ast, Paren):
-        return eval_expr(ast.inner, args)
-    raise TypeError(f"not an AST node: {ast!r}")
+    try:
+        need, terms = ast._flat
+    except AttributeError:
+        need, terms = _compile(ast)
+    if need > len(args):
+        raise ArityError(f"expression needs {need} arguments, got {len(args)}")
+    return _eval_sum(terms, args)
+
+
+def _eval_sum(terms, args) -> int:
+    flat, nested = terms
+    total = 0
+    for c, factors in flat:
+        for a, i in factors:
+            c *= args[a][i]
+        total += c
+    for c, factors, sums in nested:
+        for a, i in factors:
+            c *= args[a][i]
+        for s in sums:
+            c *= _eval_sum(s, args)
+        total += c
+    return total
+
+
+def _compile(ast):
+    """(arguments needed, flat sum) of an AST; kept on the root node."""
+    out = (_arity(ast), _freeze(_flatten(ast)))
+    object.__setattr__(ast, "_flat", out)
+    return out
+
+
+def _arity(node) -> int:
+    if isinstance(node, Var):
+        return node.arg + 1
+    if isinstance(node, (Add, Sub, Mul)):
+        return max(_arity(node.left), _arity(node.right))
+    if isinstance(node, Neg):
+        return _arity(node.operand)
+    if isinstance(node, Paren):
+        return _arity(node.inner)
+    return 0
+
+
+# A sum under construction is a dict {(factors, sums): coefficient} with
+# sorted (argument, 0-based coordinate) factors and no zero coefficient.
+
+def _flatten(node) -> dict:
+    if isinstance(node, Lit):
+        return {((), ()): node.value} if node.value else {}
+    if isinstance(node, Var):
+        return {(((node.arg, node.coord - 1),), ()): 1}
+    if isinstance(node, Add):
+        return _collect(_flatten(node.left), _flatten(node.right), 1)
+    if isinstance(node, Sub):
+        return _collect(_flatten(node.left), _flatten(node.right), -1)
+    if isinstance(node, Mul):
+        left, right = _flatten(node.left), _flatten(node.right)
+        if not left or not right:
+            return {}
+        (fl, sl), cl = _as_product(left)
+        (fr, sr), cr = _as_product(right)
+        return {(tuple(sorted(fl + fr)), sl + sr): cl * cr}
+    if isinstance(node, Neg):
+        return {key: -c for key, c in _flatten(node.operand).items()}
+    if isinstance(node, Paren):
+        return _flatten(node.inner)
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+def _collect(out: dict, other: dict, sign: int) -> dict:
+    for key, c in other.items():
+        c = out.get(key, 0) + sign * c
+        if c:
+            out[key] = c
+        else:
+            out.pop(key, None)
+    return out
+
+
+def _as_product(terms: dict):
+    """The single product of a one-term sum, else the sum as one nested factor."""
+    if len(terms) == 1:
+        return next(iter(terms.items()))
+    return ((), (_freeze(terms),)), 1
+
+
+def _freeze(terms: dict):
+    flat = tuple((c, f) for (f, s), c in terms.items() if not s)
+    nested = tuple((c, f, s) for (f, s), c in terms.items() if s)
+    return flat, nested
 
 
 # -- rendering --------------------------------------------------------------------

@@ -4,6 +4,15 @@ Elements are plain coordinate tuples in additive notation: torsion
 coordinates live in {0..m_t-1}, free coordinates in Z.  Multiplicative
 rendering (u, v, w, powers) exists only at the text boundary.
 
+Element arithmetic is one pass over the coordinates: `reduce` takes a
+torsion coordinate mod its order and a free one through `int`; `mul` and
+`inv` compute (a + b) mod m, -a mod m on torsion coordinates and
+int(a) + int(b), -int(a) on free ones directly, without reducing their
+inputs first.  Both agree with reducing the inputs, combining and reducing
+again.  The torsion length and the rank are stored once per spec, outside
+the dataclass fields, so equality, hashing, repr and pickling see only
+`cyclic_orders` and `free_rank`.
+
 Characters are weight vectors on the torsion part; their values are
 roots of unity of order N = lcm(cyclic orders).
 """
@@ -14,6 +23,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from math import lcm
+from operator import add, mod, neg
 
 from .scalars import Scalar
 
@@ -42,16 +52,19 @@ class GroupSpec:
             raise SpecMismatch("cyclic orders must be >= 2")
         if self.free_rank < 0 or len(self.cyclic_orders) + self.free_rank < 1:
             raise SpecMismatch("need at least one coordinate")
+        # not fields: ==, hash, repr and replace() see only the two above
+        object.__setattr__(self, "_ntor", len(self.cyclic_orders))
+        object.__setattr__(self, "_rank", self._ntor + self.free_rank)
 
     # -- structure -----------------------------------------------------------
 
     @property
     def rank(self) -> int:
-        return len(self.cyclic_orders) + self.free_rank
+        return self._rank
 
     @property
     def torsion_rank(self) -> int:
-        return len(self.cyclic_orders)
+        return self._ntor
 
     @property
     def exponent(self) -> int:
@@ -68,27 +81,57 @@ class GroupSpec:
 
     # -- element arithmetic ----------------------------------------------------
 
+    def _mismatch(self, coords) -> SpecMismatch:
+        return SpecMismatch(
+            f"element has {len(coords)} coordinates, spec wants {self._rank}"
+        )
+
     def reduce(self, coords) -> Element:
-        coords = tuple(coords)
-        if len(coords) != self.rank:
-            raise SpecMismatch(
-                f"element has {len(coords)} coordinates, spec wants {self.rank}"
-            )
-        orders = self.cyclic_orders
-        out = tuple(c % m for c, m in zip(coords, orders))
-        if self.free_rank:
-            out += tuple(int(c) for c in coords[len(orders):])
-        return out
+        if type(coords) is not tuple:
+            coords = tuple(coords)
+        if len(coords) != self._rank:
+            raise self._mismatch(coords)
+        n = self._ntor
+        if n == self._rank:
+            return tuple(map(mod, coords, self.cyclic_orders))
+        if not n:
+            return tuple(map(int, coords))
+        return tuple(map(mod, coords, self.cyclic_orders)) + tuple(map(int, coords[n:]))
 
     def identity(self) -> Element:
-        return (0,) * self.rank
+        return (0,) * self._rank
 
     def mul(self, g: Element, h: Element) -> Element:
-        g, h = self.reduce(g), self.reduce(h)
-        return self.reduce(a + b for a, b in zip(g, h))
+        if not isinstance(g, (tuple, list)):
+            g = self.reduce(g)
+        if not isinstance(h, (tuple, list)):
+            h = self.reduce(h)
+        if len(g) != self._rank:
+            raise self._mismatch(g)
+        if len(h) != self._rank:
+            raise self._mismatch(h)
+        n = self._ntor
+        if n == self._rank:
+            return tuple(map(mod, map(add, g, h), self.cyclic_orders))
+        if not n:
+            return tuple(map(add, map(int, g), map(int, h)))
+        return tuple(map(mod, map(add, g, h), self.cyclic_orders)) + tuple(
+            map(add, map(int, g[n:]), map(int, h[n:]))
+        )
 
     def inv(self, g: Element) -> Element:
-        return self.reduce(-a for a in g)
+        if not isinstance(g, (tuple, list)):
+            g = self.reduce(g)
+        if len(g) != self._rank:
+            raise self._mismatch(g)
+        n = self._ntor
+        if n == self._rank:
+            return tuple(map(mod, map(neg, g), self.cyclic_orders))
+        if not n:
+            return tuple(map(neg, map(int, g)))
+        return tuple(map(mod, map(neg, g), self.cyclic_orders)) + tuple(
+            map(neg, map(int, g[n:]))
+        )
 
     def mul_all(self, gs) -> Element:
         out = self.identity()

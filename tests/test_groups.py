@@ -1,6 +1,9 @@
 """Group arithmetic, enumeration, characters, element text forms."""
 
+import dataclasses
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -115,3 +118,109 @@ def test_parse_render_round_trip_free(coords):
 def test_parse_render_round_trip_torsion(coords):
     g = tuple(coords)
     assert Z2_3.parse_element(Z2_3.render_element(g)) == g
+
+
+# -- one-pass arithmetic against the reduce-everything reference ---------------
+
+def ref_reduce(spec, coords):
+    coords = tuple(coords)
+    if len(coords) != spec.rank:
+        raise SpecMismatch(
+            f"element has {len(coords)} coordinates, spec wants {spec.rank}"
+        )
+    orders = spec.cyclic_orders
+    out = tuple(c % m for c, m in zip(coords, orders))
+    if spec.free_rank:
+        out += tuple(int(c) for c in coords[len(orders):])
+    return out
+
+
+def ref_mul(spec, g, h):
+    g, h = ref_reduce(spec, g), ref_reduce(spec, h)
+    return ref_reduce(spec, (a + b for a, b in zip(g, h)))
+
+
+def ref_inv(spec, g):
+    return ref_reduce(spec, (-a for a in g))
+
+
+REF_SPECS = [
+    GroupSpec((4,)),
+    GroupSpec((2, 3)),
+    GroupSpec((), 2),
+    GroupSpec((3,), 2),
+    GroupSpec((2, 4), 1),
+]
+
+
+def _coords(rng, spec):
+    # out-of-range and negative torsion coordinates included
+    g = [rng.randint(-9, 9) for _ in range(spec.rank)]
+    return tuple(g) if rng.random() < 0.5 else g
+
+
+def _is_int_tuple(x):
+    return type(x) is tuple and all(type(c) is int for c in x)
+
+
+@pytest.mark.parametrize("spec", REF_SPECS, ids=repr)
+def test_one_pass_arithmetic_matches_reference(spec):
+    rng = random.Random(spec.rank * 31 + len(spec.cyclic_orders))
+    for _ in range(400):
+        g, h = _coords(rng, spec), _coords(rng, spec)
+        for got, want in (
+            (spec.reduce(g), ref_reduce(spec, g)),
+            (spec.mul(g, h), ref_mul(spec, g, h)),
+            (spec.inv(g), ref_inv(spec, g)),
+        ):
+            assert got == want
+            assert _is_int_tuple(got)
+    g = _coords(rng, spec)
+    assert spec.reduce(iter(g)) == ref_reduce(spec, g)
+    assert spec.mul(iter(g), iter(g)) == ref_mul(spec, g, g)
+    assert spec.inv(iter(g)) == ref_inv(spec, g)
+    assert _is_int_tuple(spec.reduce([True] * spec.rank))
+    # free coordinates go through int(), as in the reference
+    n = len(spec.cyclic_orders)
+    if spec.free_rank:
+        g = (1,) * n + (Fraction(7, 2),) + (-2.0,) * (spec.free_rank - 1)
+        h = (2,) * n + (Fraction(1, 2),) * spec.free_rank
+        for got, want in (
+            (spec.reduce(g), ref_reduce(spec, g)),
+            (spec.mul(g, h), ref_mul(spec, g, h)),
+            (spec.inv(g), ref_inv(spec, g)),
+        ):
+            assert got == want
+            assert _is_int_tuple(got)
+
+
+@pytest.mark.parametrize("spec", REF_SPECS, ids=repr)
+def test_one_pass_arithmetic_length_mismatch(spec):
+    good = (1,) * spec.rank
+    for bad in ((1,) * (spec.rank + 1), [1] * (spec.rank - 1)):
+        msg = f"element has {len(bad)} coordinates, spec wants {spec.rank}"
+        for call in (
+            lambda: spec.reduce(bad),
+            lambda: spec.mul(bad, good),
+            lambda: spec.mul(good, bad),
+            lambda: spec.inv(bad),
+        ):
+            with pytest.raises(SpecMismatch) as e:
+                call()
+            assert str(e.value) == msg
+
+
+def test_private_attributes_leave_dataclass_behaviour():
+    spec = GroupSpec((2, 4), 1)
+    twin = GroupSpec([2, 4], 1)
+    assert spec == twin and hash(spec) == hash(twin)
+    assert repr(spec) == "GroupSpec(cyclic_orders=(2, 4), free_rank=1)"
+    assert [f.name for f in dataclasses.fields(spec)] == ["cyclic_orders", "free_rank"]
+    back = pickle.loads(pickle.dumps(spec))
+    assert back == spec and hash(back) == hash(spec)
+    assert back.mul((1, 3, -2), (1, 3, 5)) == (0, 2, 3)
+    wider = dataclasses.replace(spec, free_rank=2)
+    assert (wider.rank, wider.torsion_rank) == (4, 2)
+    assert wider.mul((1, 1, 1, 1), (1, 3, 1, -1)) == (0, 0, 2, 0)
+    assert wider != spec
+    assert dataclasses.replace(spec) == spec

@@ -143,6 +143,22 @@ def test_verify_transport_torus():
         assert names[f"direct_lambda_degree_{k}"] == "agree"
 
 
+def test_free_group_tables_stay_empty():
+    from quasicyc.cyclic import _chi_table, _mul_table
+
+    tor = builtin("torus")
+    F = tor.cochain()
+    for seed in range(20):
+        cert = verify_transport(F, (), tor.group, 2, window=2, samples=20, seed=seed)
+        assert certificate_ok(cert)
+    # the process-wide caches hold one stateless object per free group,
+    # not a dict of every product or character value computed so far
+    for table in (_mul_table(GroupSpec((), 2)), _chi_table(GroupSpec((), 2), ())):
+        assert not isinstance(table, dict) and not hasattr(table, "__dict__")
+        assert table._group == GroupSpec((), 2)
+    assert _mul_table(GroupSpec((), 2))[(1, -2), (3, 5)] == (4, 3)
+
+
 def test_verify_transport_infinite_needs_window():
     tor = builtin("torus")
     with pytest.raises(InfiniteGroup):
