@@ -86,6 +86,8 @@ class GroupSpec:
             f"element has {len(coords)} coordinates, spec wants {self._rank}"
         )
 
+    # reduce and mul run once per cochain lookup or product, so they take
+    # the all-torsion and all-free shapes without building an empty part
     def reduce(self, coords) -> Element:
         if type(coords) is not tuple:
             coords = tuple(coords)
@@ -124,13 +126,8 @@ class GroupSpec:
             g = self.reduce(g)
         if len(g) != self._rank:
             raise self._mismatch(g)
-        n = self._ntor
-        if n == self._rank:
-            return tuple(map(mod, map(neg, g), self.cyclic_orders))
-        if not n:
-            return tuple(map(neg, map(int, g)))
         return tuple(map(mod, map(neg, g), self.cyclic_orders)) + tuple(
-            map(neg, map(int, g[n:]))
+            map(neg, map(int, g[self._ntor:]))
         )
 
     def mul_all(self, gs) -> Element:
