@@ -15,12 +15,12 @@ integer; any modular reduction of the result belongs to the caller.
 On its first evaluation an AST is flattened once into a signed sum of
 products, kept on the root node: each product is an integer coefficient
 (literals folded in), a tuple of (argument, coordinate) factors and a
-tuple of nested sums.  Like products are collected, but a product is never
-distributed over a sum: a parenthesized sum inside a product stays one
-nested factor.  So the flat form has at most one product (nested ones
-included) per AST node and at most one factor per variable leaf, where
-full expansion of k factors of s-term sums would need up to s^k products.
-Evaluation is one loop over the products.
+tuple of nested sums.  A product is never distributed over a sum: a
+parenthesized sum inside a product stays one nested factor.  So the flat
+form has at most one product (nested ones included) per AST node and at
+most one factor per variable leaf, where full expansion of k factors of
+s-term sums would need up to s^k products.  Evaluation is one loop over
+the products.
 """
 
 from __future__ import annotations
@@ -242,69 +242,52 @@ def _eval_sum(terms, args) -> int:
 
 def _compile(ast):
     """(arguments needed, flat sum) of an AST; kept on the root node."""
-    out = (_arity(ast), _freeze(_flatten(ast)))
+    terms, need = _flatten(ast)
+    out = (need, _freeze(terms))
     object.__setattr__(ast, "_flat", out)
     return out
 
 
-def _arity(node) -> int:
+# A sum under construction is a list of products (coefficient, factors,
+# nested sums), each factor an (argument, 0-based coordinate) pair.
+
+def _flatten(node):
+    """(products, arguments needed) of a subtree."""
     if isinstance(node, Var):
-        return node.arg + 1
-    if isinstance(node, (Add, Sub, Mul)):
-        return max(_arity(node.left), _arity(node.right))
-    if isinstance(node, Neg):
-        return _arity(node.operand)
-    if isinstance(node, Paren):
-        return _arity(node.inner)
-    return 0
-
-
-# A sum under construction is a dict {(factors, sums): coefficient} with
-# sorted (argument, 0-based coordinate) factors and no zero coefficient.
-
-def _flatten(node) -> dict:
+        return [(1, ((node.arg, node.coord - 1),), ())], node.arg + 1
     if isinstance(node, Lit):
-        return {((), ()): node.value} if node.value else {}
-    if isinstance(node, Var):
-        return {(((node.arg, node.coord - 1),), ()): 1}
-    if isinstance(node, Add):
-        return _collect(_flatten(node.left), _flatten(node.right), 1)
-    if isinstance(node, Sub):
-        return _collect(_flatten(node.left), _flatten(node.right), -1)
-    if isinstance(node, Mul):
-        left, right = _flatten(node.left), _flatten(node.right)
-        if not left or not right:
-            return {}
-        (fl, sl), cl = _as_product(left)
-        (fr, sr), cr = _as_product(right)
-        return {(tuple(sorted(fl + fr)), sl + sr): cl * cr}
+        return ([(node.value, (), ())] if node.value else []), 0
     if isinstance(node, Neg):
-        return {key: -c for key, c in _flatten(node.operand).items()}
+        terms, need = _flatten(node.operand)
+        return [(-c, f, s) for c, f, s in terms], need
     if isinstance(node, Paren):
         return _flatten(node.inner)
-    raise TypeError(f"not an AST node: {node!r}")
+    if not isinstance(node, (Add, Sub, Mul)):
+        raise TypeError(f"not an AST node: {node!r}")
+    left, need = _flatten(node.left)
+    right, need_right = _flatten(node.right)
+    need = max(need, need_right)
+    if isinstance(node, Add):
+        left += right
+        return left, need
+    if isinstance(node, Sub):
+        left += [(-c, f, s) for c, f, s in right]
+        return left, need
+    if not left or not right:
+        return [], need
+    cl, fl, sl = _as_product(left)
+    cr, fr, sr = _as_product(right)
+    return [(cl * cr, fl + fr, sl + sr)], need
 
 
-def _collect(out: dict, other: dict, sign: int) -> dict:
-    for key, c in other.items():
-        c = out.get(key, 0) + sign * c
-        if c:
-            out[key] = c
-        else:
-            out.pop(key, None)
-    return out
+def _as_product(terms):
+    """The one product of a one-product sum, else the sum as a nested factor."""
+    return terms[0] if len(terms) == 1 else (1, (), (_freeze(terms),))
 
 
-def _as_product(terms: dict):
-    """The single product of a one-term sum, else the sum as one nested factor."""
-    if len(terms) == 1:
-        return next(iter(terms.items()))
-    return ((), (_freeze(terms),)), 1
-
-
-def _freeze(terms: dict):
-    flat = tuple((c, f) for (f, s), c in terms.items() if not s)
-    nested = tuple((c, f, s) for (f, s), c in terms.items() if s)
+def _freeze(terms):
+    flat = tuple((c, f) for c, f, s in terms if not s)
+    nested = tuple(t for t in terms if t[2])
     return flat, nested
 
 
