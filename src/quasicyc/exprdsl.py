@@ -225,13 +225,8 @@ def eval_expr(ast, args) -> int:
 
 
 def _eval_sum(terms, args) -> int:
-    flat, nested = terms
     total = 0
-    for c, factors in flat:
-        for a, i in factors:
-            c *= args[a][i]
-        total += c
-    for c, factors, sums in nested:
+    for c, factors, sums in terms:
         for a, i in factors:
             c *= args[a][i]
         for s in sums:
@@ -243,7 +238,7 @@ def _eval_sum(terms, args) -> int:
 def _compile(ast):
     """(arguments needed, flat sum) of an AST; kept on the root node."""
     terms, need = _flatten(ast)
-    out = (need, _freeze(terms))
+    out = (need, tuple(terms))
     object.__setattr__(ast, "_flat", out)
     return out
 
@@ -282,13 +277,7 @@ def _flatten(node):
 
 def _as_product(terms):
     """The one product of a one-product sum, else the sum as a nested factor."""
-    return terms[0] if len(terms) == 1 else (1, (), (_freeze(terms),))
-
-
-def _freeze(terms):
-    flat = tuple((c, f) for c, f, s in terms if not s)
-    nested = tuple(t for t in terms if t[2])
-    return flat, nested
+    return terms[0] if len(terms) == 1 else (1, (), (tuple(terms),))
 
 
 # -- rendering --------------------------------------------------------------------

@@ -159,10 +159,9 @@ def _var_leaves(ast) -> int:
 
 def _flat_size(terms):
     """(products, variable factors) of a flat sum, nested sums included."""
-    flat, nested = terms
-    products = len(flat) + len(nested)
-    factors = sum(len(f) for _, f in flat) + sum(len(f) for _, f, _ in nested)
-    for _, _, sums in nested:
+    products = len(terms)
+    factors = sum(len(f) for _, f, _ in terms)
+    for _, _, sums in terms:
         for s in sums:
             p, f = _flat_size(s)
             products, factors = products + p, factors + f
