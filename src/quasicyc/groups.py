@@ -88,6 +88,9 @@ class GroupSpec:
 
     # reduce and mul run once per cochain lookup or product, so they take
     # the all-torsion and all-free shapes without building an empty part
+    # (against the last, general expression alone: window jobs_per_s +9%,
+    # certs +4%, 2-vCPU host); the general expression is right for every
+    # shape and is the only one inv uses
     def reduce(self, coords) -> Element:
         if type(coords) is not tuple:
             coords = tuple(coords)
