@@ -125,10 +125,6 @@ class Form:
     def degrees(self) -> list[int]:
         return sorted({len(S) for _, S in self.terms})
 
-    def coefficient(self, g, S) -> Scalar:
-        key = (self.spec.group.reduce(g), _check_indices(self.spec, S))
-        return self.terms.get(key, Scalar.zero())
-
     def __add__(self, other: "Form") -> "Form":
         self._check(other)
         return Form(self.spec, list(self.terms.items()) + list(other.terms.items()))

@@ -329,6 +329,13 @@ def _cmd_twist(pre: Preset, args) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="quasicyc",
@@ -339,12 +346,12 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, degree=False, seed=False):
         p.add_argument("--preset", required=True, help="built-in name or preset JSON path")
         if degree:
-            p.add_argument("--degree-max", type=int, default=2, dest="degree_max")
+            p.add_argument("--degree-max", type=nonnegative_int, default=2, dest="degree_max")
         if seed:
             p.add_argument("--seed", type=int, default=0)
             p.add_argument(
                 "--window",
-                type=int,
+                type=nonnegative_int,
                 default=2,
                 help="coordinate bound standing in for exhaustion on infinite groups",
             )

@@ -10,6 +10,15 @@ braiding
 
     R_F(g1,g2) = F(g2,g1) F(g1,g2)^-1.
 
+Construction decides unitality exactly on all of G.  from_table checks
+its finite group exhaustively.  from_expr's F is base^e, e an integer
+polynomial, unital iff e(e_G, h) = e(h, e_G) = 0 for every h (mod N for
+zeta_N).  Torsion coordinates of h run over their residues, and each free
+coordinate x_c over {0..d_c}, d_c the number of variable leaves naming it,
+which bounds the degree in x_c.  The coefficients of e in the binomial
+basis prod_c C(x_c, a_c) are integer combinations of its values on that
+grid, so vanishing there, mod N too, is vanishing on all of Z^s.
+
 Law checks (unitality, 2-cocycle, 3-cocycle, bicharacter) run over an
 exhaustive domain for finite groups or a centered coordinate window for
 groups with a free part; every report names the domain it used.
@@ -17,13 +26,12 @@ groups with a free part; every report names the domain it used.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .exprdsl import eval_expr, parse_expr
+from .exprdsl import eval_expr, leaf_counts, parse_expr
 from .groups import GroupSpec, InfiniteGroup
 from .scalars import Scalar
-
-UNITALITY_WINDOW_MIN = 1000  # construction-time unitality sample size on infinite G
 
 
 @dataclass(frozen=True)
@@ -43,47 +51,41 @@ class LawReport:
         )
 
 
-def _reduced_key(group: GroupSpec, gs) -> tuple:
-    out = []
-    for g in gs:
-        rg = group.reduce(g)
-        out.append(g if rg == g else rg)
-    return tuple(out)
-
-
 class Cochain2:
-    """F: G^2 -> unit scalars; construct via from_expr / from_table."""
+    """F: G^2 -> unit scalars.  from_expr and from_table check unitality;
+    the constructor is the unchecked one, for cochains unital by design."""
 
     arity = 2
 
-    def __init__(self, group: GroupSpec, fn, description: str, validate: bool = True):
+    def __init__(self, group: GroupSpec, fn, description: str):
         self.group = group
         self._fn = fn
         self._memo = {}
         self.description = description
-        if validate:
-            dom = "exhaustive" if group.free_rank == 0 else "construction-window"
-            rep = check_cochain_laws(self, "unital", dom)
-            if not rep.holds:
-                raise ValueError(f"cochain is not unital: {rep}")
 
     @classmethod
-    def from_expr(cls, group: GroupSpec, base, expr_src: str, validate=True) -> "Cochain2":
+    def from_expr(cls, group: GroupSpec, base, expr_src: str) -> "Cochain2":
         """base: ("root_of_unity", N) or ("laurent",); values base^expr."""
         ast = parse_expr(expr_src, 2, group.rank)
         if base[0] == "root_of_unity":
             N = base[1]
+            if N < 1:
+                raise ValueError("N must be >= 1")
             fn = lambda g, h: Scalar.root_of_unity(N, eval_expr(ast, (g, h)))
             desc = f"zeta_{N}^({expr_src})"
         elif base[0] == "laurent":
+            N = 0
             fn = lambda g, h: Scalar.q_power(eval_expr(ast, (g, h)))
             desc = f"q^({expr_src})"
         else:
             raise ValueError(f"unknown value base {base!r}")
-        return cls(group, fn, desc, validate=validate)
+        bad = _exponent_unit_failure(group, ast, N)
+        if bad is not None:
+            raise ValueError(f"cochain is not unital on all of G: F{bad} != 1")
+        return cls(group, fn, desc)
 
     @classmethod
-    def from_table(cls, group: GroupSpec, entries, validate=True) -> "Cochain2":
+    def from_table(cls, group: GroupSpec, entries) -> "Cochain2":
         """entries: iterable of (g, h, Scalar); must cover all of G^2."""
         if group.free_rank:
             raise InfiniteGroup("table cochains need a finite group")
@@ -96,18 +98,21 @@ class Cochain2:
             raise ValueError(f"table misses {len(missing)} pairs, first {missing[0]}")
         if any(s.is_zero() for s in table.values()):
             raise ValueError("table cochain values must be units")
-        return cls(group, lambda g, h: table[(g, h)], "table", validate=validate)
+        F = cls(group, lambda g, h: table[(g, h)], "table")
+        rep = check_cochain_laws(F, "unital")
+        if not rep.holds:
+            raise ValueError(f"cochain is not unital: {rep}")
+        return F
 
     def value(self, g, h) -> Scalar:
         # the memo holds reduced keys only, so a caller's already-reduced
-        # tuples hit it directly and reduce runs only on a miss; a new key
-        # keeps the caller's tuples where they were already reduced
+        # tuples hit it directly and reduce runs only on a miss
         try:
             out = self._memo.get((g, h))
         except TypeError:  # unhashable coordinates, e.g. lists
             out = None
         if out is None:
-            key = _reduced_key(self.group, (g, h))
+            key = (self.group.reduce(g), self.group.reduce(h))
             out = self._memo.get(key)
             if out is None:
                 out = self._memo[key] = self._fn(*key)
@@ -132,7 +137,8 @@ class Cochain3:
         except TypeError:
             out = None
         if out is None:
-            key = _reduced_key(self.group, (a, b, c))
+            reduce = self.group.reduce
+            key = (reduce(a), reduce(b), reduce(c))
             out = self._memo.get(key)
             if out is None:
                 out = self._memo[key] = self._fn(*key)
@@ -160,7 +166,26 @@ def braiding_R(F: Cochain2) -> Cochain2:
     def fn(g, h):
         return F.value(h, g) * F.value(g, h).inverse()
 
-    return Cochain2(F.group, fn, f"braiding of {F.description}", validate=False)
+    return Cochain2(F.group, fn, f"braiding of {F.description}")
+
+
+def _exponent_unit_failure(group: GroupSpec, ast, N: int):
+    """First (e, h) or (h, e) where the exponent polynomial is nonzero (mod N
+    when N, exactly when N == 0) on the grid of the module docstring, or
+    None: then F(e, h) = F(h, e) = 1 for every h in G."""
+    counts = leaf_counts(ast)
+    e = group.identity()
+    for free in (1, 0):
+        ranges = [range(m) for m in group.cyclic_orders] + [
+            range(counts[(free, c)] + 1)
+            for c in range(group.torsion_rank + 1, group.rank + 1)
+        ]
+        for h in itertools.product(*ranges):
+            args = (e, h) if free else (h, e)
+            v = eval_expr(ast, args)
+            if v % N if N else v:
+                return args
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +205,10 @@ def domain_elements(group: GroupSpec, domain):
 def check_cochain_laws(x, law: str, domain="exhaustive") -> LawReport:
     """Check one named law for a Cochain2 or Cochain3 over a domain.
 
-    domain: "exhaustive" (finite groups) or ("window", b); for groups with
-    a free part the construction-time unitality check uses the smallest
-    centered window holding UNITALITY_WINDOW_MIN elements.
+    domain: "exhaustive" (finite groups) or ("window", b).
     """
     grp = x.group
-    if domain == "construction-window":
-        els = grp.sample_window(UNITALITY_WINDOW_MIN)
-        label = f"window(auto, {len(els)} elements)"
-    else:
-        els, label = domain_elements(grp, domain)
+    els, label = domain_elements(grp, domain)
     e = grp.identity()
     one = Scalar.one()
 

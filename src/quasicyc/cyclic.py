@@ -96,10 +96,6 @@ def _chi_table(group: GroupSpec, weight: tuple):
     return {g: group.char_eval(weight, g) for g in _els(group)}
 
 
-def _chi(group: GroupSpec, weight: tuple, g: tuple) -> Scalar:
-    return _chi_table(group, weight)[g]
-
-
 @lru_cache(maxsize=None)
 def _mul_table(group: GroupSpec):
     if group.free_rank:
@@ -191,9 +187,6 @@ class CyclicCochain:
         if not self.group.is_identity(self.group.mul_all(gs)):
             return Scalar.zero()
         return self.vec[_index(self.group, gs[1:])]
-
-    def _at(self, full) -> Scalar:
-        return self.vec[_index(self.group, full[1:])]
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.vec)
@@ -397,7 +390,7 @@ def b_atoms(group, chi, k: int, wrap=None):
     for i in range(k + 2):
         pull = face_pull(group, chi, k, i)
         if wrap is not None:
-            pull = wrap(pull, k, k + 1)
+            pull = wrap(pull)
         out.append(((-1) ** i, pull))
     return out
 
@@ -406,21 +399,15 @@ def apply_b(phi: CyclicCochain) -> CyclicCochain:
     return _apply_atoms(phi, b_atoms(phi.group, phi.chi, phi.degree), phi.degree + 1)
 
 
-def n_atoms(group, chi, k: int, wrap=None):
-    out = []
-    for i in range(k + 1):
-        pull = lambda_power_pull(group, chi, k, i)
-        if wrap is not None:
-            pull = wrap(pull, k, k)
-        out.append((1, pull))
-    return out
+def n_atoms(group, chi, k: int):
+    return [(1, lambda_power_pull(group, chi, k, i)) for i in range(k + 1)]
 
 
 def apply_N(phi: CyclicCochain) -> CyclicCochain:
     return _apply_atoms(phi, n_atoms(phi.group, phi.chi, phi.degree), phi.degree)
 
 
-def B_atoms(group, chi, k: int, wrap=None):
+def B_atoms(group, chi, k: int):
     """Atoms of B: C^k -> C^{k-1}; the (-1)^n prefactor cancels against the
     one inside s_{-1}, leaving lambda^i s_0 lambda^{-1} - (-1)^n lambda^i s_n."""
     n = k - 1
@@ -432,9 +419,6 @@ def B_atoms(group, chi, k: int, wrap=None):
             *lam_i, degeneracy_pull(group, n, 0), lambda_power_pull(group, chi, k, k)
         )
         p2 = compose_pulls(*lam_i, degeneracy_pull(group, n, n))
-        if wrap is not None:
-            p1 = wrap(p1, k, n)
-            p2 = wrap(p2, k, n)
         out.append((1, p1))
         out.append((-sign_n, p2))
     return out
@@ -448,7 +432,7 @@ def apply_B(phi: CyclicCochain) -> CyclicCochain:
     )
 
 
-def s_atoms(group, chi, m: int, wrap=None):
+def s_atoms(group, chi, m: int):
     """Atoms of the periodicity operator S: C^m -> C^{m+2}, n = m + 1.
     The -1/(n(n+1)) factor is applied by apply_S, not stored in the atoms."""
     n = m + 1
@@ -458,8 +442,6 @@ def s_atoms(group, chi, m: int, wrap=None):
             pull = compose_pulls(
                 face_pull(group, chi, m + 1, i - 1), face_pull(group, chi, m, j - 1)
             )
-            if wrap is not None:
-                pull = wrap(pull, m, m + 2)
             out.append(((-1) ** (i + j), pull))
     return out
 
@@ -709,14 +691,14 @@ def identity_suite(
 ) -> list[LawReport]:
     """Check the six cocyclic identity families pointwise on pullbacks.
 
-    wrap(pull, in_degree, out_degree) -> pull conjugates each atom; used by
+    wrap(pull) -> pull conjugates each atom; used by
     the twist module to run the same suite on the twisted operators.
     The tuples are those of sample_tuples: every support tuple on a finite
     group, the identity tuple plus `samples` seeded tuples from the window
     on an infinite one.
     """
     chi = group.check_weight(chi)
-    W = wrap if wrap is not None else (lambda pull, k_in, k_out: pull)
+    W = wrap if wrap is not None else (lambda pull: pull)
     if group.free_rank and window is None:
         raise InfiniteGroup("identity suite on an infinite group needs a window")
     domain = f"pointwise, degrees <= {degree_max}"
@@ -730,13 +712,13 @@ def identity_suite(
         return pool[out_degree]
 
     def F(k, i):
-        return W(face_pull(group, chi, k, i), k, k + 1)
+        return W(face_pull(group, chi, k, i))
 
     def S_(k_out, i):
-        return W(degeneracy_pull(group, k_out, i), k_out + 1, k_out)
+        return W(degeneracy_pull(group, k_out, i))
 
     def L(k):
-        return W(lambda_pull(group, chi, k), k, k)
+        return W(lambda_pull(group, chi, k))
 
     reports = []
 
@@ -835,8 +817,8 @@ def lambda_minus_id_atoms(group, chi, k, wrap=None):
     lam = lambda_pull(group, chi, k)
     ident = identity_pull
     if wrap is not None:
-        lam = wrap(lam, k, k)
-        ident = wrap(ident, k, k)
+        lam = wrap(lam)
+        ident = wrap(ident)
     return [(1, lam), (-1, ident)]
 
 

@@ -25,6 +25,7 @@ the products.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 
@@ -192,8 +193,8 @@ def _parse_factor(toks):
     raise ExprSyntaxError(pos, {"integer", "variable", "(", "-"}, kind)
 
 
-def _validate(node, arity: int, coords: int):
-    if isinstance(node, Var):
+def _validate(ast, arity: int, coords: int):
+    for node in _vars(ast):
         if node.arg >= arity:
             raise ArityError(
                 f"variable {_ARG_NAMES[node.arg]}{node.coord} needs arity {node.arg + 1}"
@@ -202,13 +203,28 @@ def _validate(node, arity: int, coords: int):
             raise CoordOutOfRange(
                 f"coordinate {node.coord} out of range 1..{coords}"
             )
+
+
+def _vars(node):
+    """The variable leaves of an AST, left to right."""
+    if isinstance(node, Var):
+        yield node
     elif isinstance(node, (Add, Sub, Mul)):
-        _validate(node.left, arity, coords)
-        _validate(node.right, arity, coords)
+        yield from _vars(node.left)
+        yield from _vars(node.right)
     elif isinstance(node, Neg):
-        _validate(node.operand, arity, coords)
+        yield from _vars(node.operand)
     elif isinstance(node, Paren):
-        _validate(node.inner, arity, coords)
+        yield from _vars(node.inner)
+
+
+def leaf_counts(ast) -> Counter:
+    """Variable leaves per (0-based argument, 1-based coordinate).
+
+    Each leaf is one factor of degree 1, so the count bounds the degree of
+    the expression in that variable.
+    """
+    return Counter((v.arg, v.coord) for v in _vars(ast))
 
 
 # -- evaluation -----------------------------------------------------------------

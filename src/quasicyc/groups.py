@@ -156,21 +156,6 @@ class GroupSpec:
         ranges += [range(-b, b + 1)] * self.free_rank
         return [tuple(g) for g in itertools.product(*ranges)]
 
-    def sample_window(self, min_size: int = 1000) -> list[Element]:
-        """Smallest centered window with at least min_size elements.
-
-        Documented sampling domain for checks on groups with a free part.
-        """
-        if not self.free_rank:
-            return self.elements()
-        torsion = 1
-        for m in self.cyclic_orders:
-            torsion *= m
-        b = 0
-        while torsion * (2 * b + 1) ** self.free_rank < min_size:
-            b += 1
-        return self.window_elements(b)
-
     # -- characters --------------------------------------------------------------
 
     def check_weight(self, w) -> tuple[int, ...]:

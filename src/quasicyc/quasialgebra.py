@@ -53,9 +53,6 @@ class GradedElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, g) -> Scalar:
-        return self.terms.get(self.group.reduce(g), Scalar.zero())
-
     def __add__(self, other: "GradedElement") -> "GradedElement":
         self._check(other)
         return GradedElement(self.group, list(self.terms.items()) + list(other.terms.items()))

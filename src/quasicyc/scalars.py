@@ -281,9 +281,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.tag == RATIONAL and self.payload == 0
 
-    def is_one(self) -> bool:
-        return self.tag == RATIONAL and self.payload == 1
-
     def is_rational(self) -> bool:
         return self.tag == RATIONAL
 

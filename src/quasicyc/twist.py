@@ -18,7 +18,6 @@ associator factors whenever F is not a 2-cocycle.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import time
@@ -93,7 +92,7 @@ def _scale(phi: CyclicCochain, factor) -> CyclicCochain:
 
 
 def conjugator(F: Cochain2):
-    """wrap(pull, in_degree, out_degree) conjugating one atom by transport.
+    """wrap(pull) -> pull conjugating one atom by transport.
 
     Coefficients telescope under composition, so conjugating every atom of
     a composite equals conjugating the composite.
@@ -102,7 +101,7 @@ def conjugator(F: Cochain2):
 
 
 def _conjugator(pref: TransportPrefactor):
-    def wrap(pull, k_in, k_out):
+    def wrap(pull):
         def wrapped(t):
             t_in, c = pull(t)
             return t_in, pref.value(t) * c * pref.inverse_value(t_in)
@@ -123,7 +122,7 @@ def _apply_b_conjugated(phi: CyclicCochain, wrap) -> CyclicCochain:
 
 def apply_lambda_twisted(phi: CyclicCochain, F: Cochain2) -> CyclicCochain:
     wrap = conjugator(F)
-    pull = wrap(lambda_pull(phi.group, phi.chi, phi.degree), phi.degree, phi.degree)
+    pull = wrap(lambda_pull(phi.group, phi.chi, phi.degree))
     return _apply_atoms(phi, [(1, pull)], phi.degree)
 
 
@@ -252,7 +251,7 @@ def verify_transport(
     # (d) informational: direct group-like evaluators vs conjugation
     for k in range(degree_max + 1):
         disagree = None
-        faces = [wrap(face_pull(group, chi, k, i), k, k + 1) for i in range(k + 2)]
+        faces = [wrap(face_pull(group, chi, k, i)) for i in range(k + 2)]
         for t in sample_tuples(group, k + 1, window, samples, seed):
             for i, face in enumerate(faces):
                 if direct_face_factor(F, chi, k, i, t) != face(t)[1]:
@@ -266,7 +265,7 @@ def verify_transport(
             disagree,
         )
         disagree = None
-        lam = wrap(lambda_pull(group, chi, k), k, k)
+        lam = wrap(lambda_pull(group, chi, k))
         for t in sample_tuples(group, k, window, samples, seed):
             if direct_lambda_factor(F, chi, k, t) != lam(t)[1]:
                 disagree = repr(t)
@@ -289,7 +288,3 @@ def certificate_ok(cert: dict) -> bool:
     """True when no asserted identity failed; informational rows are
     agree/disagree and never fail a certificate."""
     return all(row["status"] != "fail" for row in cert["identities"])
-
-
-def render_certificate(cert: dict) -> str:
-    return json.dumps(cert, indent=2, sort_keys=True)

@@ -167,6 +167,29 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--preset", "torus", "--suite", "cochain", "--window", "-1"],
+    ["verify", "--preset", "octonion", "--suite", "cyclic", "--degree-max", "-1"],
+])
+def test_negative_bounds_exit_2(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert "must be >= 0, got -1" in err
+
+
+def test_root_of_unity_order_zero_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "name": "bad", "group": {"cyclic_orders": [2]}, "scalars": "cyclotomic",
+        "cochain_F": {"expr": "i1*j1", "base": "root_of_unity", "order": 0},
+        "calculus": {"kind": "characters", "weights": [[1]]},
+    }))
+    rc, _, err = run(capsys, "verify", "--preset", str(path), "--suite", "cochain")
+    assert rc == 2
+    assert "N must be >= 1" in err
+
+
 def test_twist_group_mismatch_exits_2(tmp_path, capsys):
     z2 = builtin("z2_trivial")
     phi = CyclicCochain.basis(z2.group, z2.ribbon_weight(), 1, 0)

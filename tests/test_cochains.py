@@ -9,8 +9,9 @@ from quasicyc.cochains import (
     check_cochain_laws,
     coboundary_phi,
 )
+from quasicyc.exprdsl import eval_expr, parse_expr
 from quasicyc.groups import GroupSpec, SpecMismatch
-from quasicyc.presets import builtin
+from quasicyc.presets import BUILTIN_NAMES, builtin
 from quasicyc.quasialgebra import check_ribbon_axiom
 from quasicyc.scalars import Scalar
 
@@ -150,15 +151,93 @@ def test_non_unital_rejected():
         Cochain2.from_expr(group, ("root_of_unity", 2), "i1+j1")
 
 
-def test_infinite_group_unitality_uses_window(torus_F):
-    rep = check_cochain_laws(torus_F, "unital", "construction-window")
-    assert rep.holds
-    assert "window(auto" in rep.domain
+def test_non_unital_table_rejected():
+    group = GroupSpec((2,))
+    entries = [(g, h, -Scalar.one()) for g in group.elements() for h in group.elements()]
+    with pytest.raises(ValueError, match="unital"):
+        Cochain2.from_table(group, entries)
+
+
+# a sample of the free part is not a proof: this exponent vanishes at
+# e x [-16, 16] and nowhere else on e x Z
+WIDE_ROOTS = "*".join(f"(j1-({c}))" for c in range(-16, 17))
+
+
+def test_expr_unitality_is_exact_beyond_any_window():
+    with pytest.raises(ValueError, match="unital"):
+        Cochain2.from_expr(TORUS, ("laurent",), WIDE_ROOTS)
+    F = _unchecked(TORUS, ("laurent",), WIDE_ROOTS)
+    assert check_cochain_laws(F, "unital", ("window", 16)).holds
+    assert F.value((0, 0), (17, 0)) != Scalar.one()
+
+
+def test_expr_unitality_grid_and_modulus():
+    Z = GroupSpec((), 1)
+    # h(h-1) vanishes at 0 and 1: a grid one point short would accept it
+    with pytest.raises(ValueError, match="unital"):
+        Cochain2.from_expr(Z, ("laurent",), "j1*(j1-1)")
+    # but it is always even, so zeta_2^(h(h-1)) = 1
+    F = Cochain2.from_expr(Z, ("root_of_unity", 2), "j1*(j1-1)")
+    assert all(F.value((0,), (h,)) == Scalar.one() for h in range(-5, 6))
+
+
+@pytest.mark.parametrize("N", [0, -2])
+def test_root_of_unity_order_below_one_rejected(N):
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        Cochain2.from_expr(GroupSpec((2,)), ("root_of_unity", N), "i1*j1")
+
+
+def test_expr_unitality_enumerates_torsion():
+    group = GroupSpec((3,), 1)
+    with pytest.raises(ValueError, match="unital"):
+        Cochain2.from_expr(group, ("laurent",), "j1")
+    Cochain2.from_expr(group, ("laurent",), "i1*j2")
+
+
+def _unchecked(group, base, src):
+    ast = parse_expr(src, 2, group.rank)
+    if base[0] == "laurent":
+        fn = lambda g, h: Scalar.q_power(eval_expr(ast, (g, h)))
+    else:
+        fn = lambda g, h: Scalar.root_of_unity(base[1], eval_expr(ast, (g, h)))
+    return Cochain2(group, fn, src)
+
+
+Z3_FREE = GroupSpec((), 3)
+
+# no variable occurs more than twice per argument, so the exact grid
+# {0..2} per free coordinate lies inside window(2): there the window
+# check is exact too and the two verdicts must agree
+WINDOW_CASES = [(p.group, p.cochain_spec[1], p.cochain_spec[2])
+                for p in map(builtin, BUILTIN_NAMES)] + [
+    (TORUS, ("laurent",), "i1*j2"),
+    (TORUS, ("laurent",), "i2*j1 - i1*j2"),
+    (TORUS, ("laurent",), "3*i1*j1 + i2*j2"),
+    (Z3_FREE, ("laurent",), "i1*j2 + i2*j3 - i3*j1"),
+    (Z3_FREE, ("laurent",), "i1*j2 + i3"),
+    (TORUS, ("laurent",), "i1*i2"),
+    (TORUS, ("laurent",), "i1*j1 + 1"),
+    (TORUS, ("laurent",), "j2*(j2 - 1)"),
+    (GroupSpec((2,), 1), ("root_of_unity", 2), "j2*(j2 - 1) + i1*j1"),
+    (GroupSpec((2,), 1), ("root_of_unity", 2), "i1*j1*j1 + j2"),
+]
+
+
+@pytest.mark.parametrize("group,base,src", WINDOW_CASES)
+def test_expr_unitality_matches_window_reference(group, base, src):
+    ref = check_cochain_laws(_unchecked(group, base, src), "unital", ("window", 2))
+    try:
+        Cochain2.from_expr(group, base, src)
+    except ValueError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == ref.holds, ref
 
 
 def test_memo_keys_are_reduced():
     group = GroupSpec((4,))
-    F = Cochain2.from_expr(group, ("root_of_unity", 4), "i1*j1", validate=False)
+    F = Cochain2.from_expr(group, ("root_of_unity", 4), "i1*j1")
     assert F.value((1,), (1,)) == Scalar.root_of_unity(4, 1)
     assert len(F._memo) == 1
     assert F.value((5,), (1,)) == F.value((1,), (1,))
