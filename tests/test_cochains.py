@@ -238,8 +238,12 @@ def test_expr_unitality_matches_window_reference(group, base, src):
 def test_memo_keys_are_reduced():
     group = GroupSpec((4,))
     F = Cochain2.from_expr(group, ("root_of_unity", 4), "i1*j1")
-    assert F.value((1,), (1,)) == Scalar.root_of_unity(4, 1)
+    g = tuple([1])
+    assert F.value(g, g) == Scalar.root_of_unity(4, 1)
     assert len(F._memo) == 1
+    # an already-reduced argument is stored as the caller's own tuple
+    (key,) = F._memo
+    assert key[0] is g and key[1] is g
     assert F.value((5,), (1,)) == F.value((1,), (1,))
     assert F.value([5], [-3]) == F.value((1,), (1,))
     assert len(F._memo) == 1

@@ -43,9 +43,9 @@ def _definitions(tree):
             yield node.name, node.lineno, node.end_lineno
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                dunder = item.name.startswith("__") and item.name.endswith("__") \
-                    if isinstance(item, defs) else True
-                if not dunder:
+                if isinstance(item, defs) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
                     yield item.name, item.lineno, item.end_lineno
 
 
