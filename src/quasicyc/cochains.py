@@ -106,9 +106,8 @@ class Cochain2:
 
     def value(self, g, h) -> Scalar:
         # the memo holds reduced keys only, so a caller's already-reduced
-        # tuples hit it directly and reduce runs only on a miss; a key equal
-        # to the caller's is stored as the caller's, so the memos of many
-        # cochains share element tuples (dims peak RSS 26.5 -> 24.4 MB)
+        # tuples hit it directly and reduce runs only on a miss; a new key
+        # keeps the caller's tuples, shared across memos (dims RSS -8%)
         gh = (g, h)
         try:
             out = self._memo.get(gh)
@@ -116,8 +115,7 @@ class Cochain2:
             out = None
         if out is None:
             key = (self.group.reduce(g), self.group.reduce(h))
-            if key == gh:
-                key = gh
+            key = gh if key == gh else key
             out = self._memo.get(key)
             if out is None:
                 out = self._memo[key] = self._fn(*key)
@@ -145,8 +143,7 @@ class Cochain3:
         if out is None:
             reduce = self.group.reduce
             key = (reduce(a), reduce(b), reduce(c))
-            if key == abc:
-                key = abc
+            key = abc if key == abc else key
             out = self._memo.get(key)
             if out is None:
                 out = self._memo[key] = self._fn(*key)

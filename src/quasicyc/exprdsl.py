@@ -219,11 +219,8 @@ def _vars(node):
 
 
 def leaf_counts(ast) -> Counter:
-    """Variable leaves per (0-based argument, 1-based coordinate).
-
-    Each leaf is one factor of degree 1, so the count bounds the degree of
-    the expression in that variable.
-    """
+    """Variable leaves per (0-based argument, 1-based coordinate): a bound
+    on the degree of the expression in that variable."""
     return Counter((v.arg, v.coord) for v in _vars(ast))
 
 
