@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .cochains import LawReport, braiding_R, domain_elements
 from .groups import GroupSpec, SpecMismatch
-from .quasialgebra import GradedElement
+from .quasialgebra import GradedElement, SparseSum, render_sum
 from .scalars import Scalar
 
 
@@ -90,75 +90,43 @@ class CalculusSpec:
         return self.group.char_eval(self.ribbon_weight(), g)
 
 
-class Form:
+def render_form(x: "Form") -> str:
+    """Canonical text like "-2*u*w1 + u*v*w1^w2"; wedge joins with ^."""
+    name = x.spec.group.render_element
+    terms = []
+    for g, S in sorted(x.terms, key=lambda k: (len(k[1]), k[1], name(k[0]))):
+        body = name(g)
+        if S:
+            wedge = "^".join(f"w{i}" for i in S)
+            body = wedge if body == "e" else f"{body}*{wedge}"
+        terms.append((body, x.terms[g, S]))
+    return render_sum(terms)
+
+
+class Form(SparseSum):
     """Finitely supported map (g, S) -> Scalar, S a sorted index tuple."""
 
-    __slots__ = ("spec", "terms")
+    __slots__ = ()
+    _mismatch = "forms live over different calculi"
+    _render = render_form
 
-    def __init__(self, spec: CalculusSpec, terms=()):
-        self.spec = spec
-        acc: dict = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for (g, S), c in items:
-            if not isinstance(c, Scalar):
-                c = Scalar.rational(c)
-            key = (spec.group.reduce(g), _check_indices(spec, S))
-            prev = acc.get(key)
-            c = prev + c if prev is not None else c
-            if c.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = c
-        self.terms = acc
+    @staticmethod
+    def _keyer(spec: CalculusSpec):
+        reduce = spec.group.reduce
+
+        def key(k):
+            g, S = k
+            return reduce(g), _check_indices(spec, S)
+
+        return key
+
+    @property
+    def spec(self) -> CalculusSpec:
+        return self.space
 
     @classmethod
     def basis(cls, spec: CalculusSpec, g, S=(), coeff=1) -> "Form":
         return cls(spec, [((g, tuple(S)), coeff)])
-
-    @classmethod
-    def zero(cls, spec: CalculusSpec) -> "Form":
-        return cls(spec)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degrees(self) -> list[int]:
-        return sorted({len(S) for _, S in self.terms})
-
-    def __add__(self, other: "Form") -> "Form":
-        self._check(other)
-        return Form(self.spec, list(self.terms.items()) + list(other.terms.items()))
-
-    def __sub__(self, other: "Form") -> "Form":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "Form":
-        if not isinstance(scalar, Scalar):
-            scalar = Scalar.rational(scalar)
-        return Form(self.spec, [(k, scalar * c) for k, c in self.terms.items()])
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Form)
-            and self.spec == other.spec
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.spec, frozenset(self.terms.items())))
-
-    def _check(self, other: "Form"):
-        if self.spec != other.spec:
-            raise SpecMismatch("forms live over different calculi")
-
-    def __str__(self):
-        return render_form(self)
-
-    def __repr__(self):
-        return f"Form({render_form(self)!r})"
 
 
 def _check_indices(spec: CalculusSpec, S) -> tuple[int, ...]:
@@ -222,7 +190,7 @@ def differential(spec: CalculusSpec, x: Form) -> Form:
 
 
 def _warn_below_top(x: Form, op: str):
-    low = [d for d in x.degrees() if d < x.spec.n]
+    low = sorted({len(S) for _, S in x.terms if len(S) < x.spec.n})
     if low:
         warnings.warn(
             f"{op} ignored terms of degree {low} below top degree {x.spec.n}",
@@ -252,22 +220,6 @@ def integral(spec: CalculusSpec, x: Form) -> Scalar:
     return x.terms.get((e, full), Scalar.zero())
 
 
-def rho(spec: CalculusSpec, a: GradedElement) -> GradedElement:
-    """Modular automorphism rho(g) = chi(g) g of the graded trace."""
-    if a.group != spec.group:
-        raise SpecMismatch("element group does not match the calculus group")
-    return GradedElement(
-        spec.group, [(g, spec.chi_total(g) * c) for g, c in a.terms.items()]
-    )
-
-
-def form_ribbon(spec: CalculusSpec, x: Form) -> Form:
-    """rho extended to forms: (g, S) -> chi(g) (g, S)."""
-    if x.spec != spec:
-        raise SpecMismatch("form does not belong to this calculus")
-    return Form(spec, [((g, S), spec.chi_total(g) * c) for (g, S), c in x.terms.items()])
-
-
 # ---------------------------------------------------------------------------
 # cyclic cocycle characters
 
@@ -287,8 +239,9 @@ def character_direct(spec: CalculusSpec, gs, F=None) -> Scalar:
 def character_closed(spec: CalculusSpec, which: str, gs) -> Scalar:
     """Closed-form values of the volume character; which selects the formula.
 
-    "general" works for any characters-kind calculus; "octonion",
-    "torus" and "torus_twisted" are preset-shaped fast paths.
+    "general" works for any characters-kind calculus, "torus" and
+    "torus_twisted" for the rank-2 derivations kind; "octonion" is the
+    paper's formula for the octonion calculus, an oracle for "general".
     """
     grp = spec.group
     gs = [grp.reduce(g) for g in gs]
@@ -457,37 +410,3 @@ def check_calculus(
         return LawReport(law, label, True)
 
     raise ValueError(f"unknown law {law!r}")
-
-
-# ---------------------------------------------------------------------------
-# text form
-
-def render_form(x: Form) -> str:
-    """Canonical text like "-2*u*w1 + u*v*w1^w2"; wedge joins with ^."""
-    if not x.terms:
-        return "0"
-    parts = []
-    order = lambda key: (len(key[1]), key[1], x.spec.group.render_element(key[0]))
-    for g, S in sorted(x.terms, key=order):
-        c = x.terms[(g, S)]
-        bits = []
-        body = x.spec.group.render_element(g)
-        if body != "e" or not S:
-            bits.append(body)
-        if S:
-            bits.append("^".join(f"w{i}" for i in S))
-        term = "*".join(bits)
-        cs = c.render()
-        if " " in cs:
-            cs = f"({cs})"
-        if cs == "-1":
-            term = f"-{term}"
-        elif cs != "1":
-            term = f"{cs}*{term}"
-        if not parts:
-            parts.append(term)
-        elif term.startswith("-"):
-            parts.append(f"- {term[1:]}")
-        else:
-            parts.append(f"+ {term}")
-    return " ".join(parts)

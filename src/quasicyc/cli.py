@@ -43,6 +43,7 @@ from .groups import InfiniteGroup, SpecMismatch
 from .presets import Preset, load
 from .quasialgebra import (
     GradedElement,
+    check_algebra_laws,
     check_ribbon_axiom,
     twisted_product,
 )
@@ -108,55 +109,12 @@ def _suite_cochain(pre: Preset, args) -> list[dict]:
 
 def _suite_algebra(pre: Preset, args) -> list[dict]:
     F = pre.cochain()
-    grp = pre.group
-    els, _ = domain_elements(grp, _domain_for(pre, args.window))
-    R = braiding_R(F)
-    phi = coboundary_phi(F)
-    rows = []
-
-    bad = None
-    for g in els:
-        for h in els:
-            lhs = twisted_product(F, GradedElement.basis(grp, g), GradedElement.basis(grp, h))
-            rhs = R.value(h, g) * twisted_product(
-                F, GradedElement.basis(grp, h), GradedElement.basis(grp, g)
-            )
-            if lhs != rhs:
-                bad = (g, h)
-                break
-        if bad:
-            break
-    rows.append({"name": "algebra.braided_commutativity", "status": "pass" if bad is None else "fail"})
-    if bad:
-        rows[-1]["counterexample"] = repr(bad)
-
-    # defect of the actual product against the coboundary 3-cochain
-    bad = None
-    for g in els:
-        for h in els:
-            gh = twisted_product(F, GradedElement.basis(grp, g), GradedElement.basis(grp, h))
-            for k in els:
-                lhs = twisted_product(
-                    F,
-                    GradedElement.basis(grp, g),
-                    twisted_product(F, GradedElement.basis(grp, h), GradedElement.basis(grp, k)),
-                )
-                rhs = phi.value(g, h, k) * twisted_product(F, gh, GradedElement.basis(grp, k))
-                if lhs != rhs:
-                    bad = (g, h, k)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rows.append({"name": "algebra.quasi_associativity", "status": "pass" if bad is None else "fail"})
-    if bad:
-        rows[-1]["counterexample"] = repr(bad)
-
-    rows += _law_rows("algebra", [
-        check_ribbon_axiom(F, pre.ribbon_weight(), _domain_for(pre, args.window)),
+    domain = _domain_for(pre, args.window)
+    return _law_rows("algebra", [
+        check_algebra_laws(F, "braided_commutativity", domain),
+        check_algebra_laws(F, "quasi_associativity", domain),
+        check_ribbon_axiom(F, pre.ribbon_weight(), domain),
     ])
-    return rows
 
 
 def _suite_calculus(pre: Preset, args) -> list[dict]:
@@ -289,8 +247,7 @@ def _cmd_character(pre: Preset, args) -> int:
     elif spec.kind == "derivations":
         val = character_closed(spec, "torus_twisted" if args.twisted else "torus", gs)
     else:
-        which = "octonion" if pre.name == "octonion" else "general"
-        val = character_closed(spec, which, gs)
+        val = character_closed(spec, "general", gs)
         if args.twisted:
             val = TransportPrefactor(F).value(tuple(grp.reduce(g) for g in gs)) * val
     print(val.render())

@@ -166,11 +166,6 @@ class CyclicCochain:
         return cls(group, chi, degree, vec)
 
     @classmethod
-    def from_fn(cls, group, chi, degree, fn) -> "CyclicCochain":
-        """fn(full_tuple) -> Scalar, evaluated on every support tuple."""
-        return cls(group, chi, degree, [fn(t) for t in full_tuples(group, degree)])
-
-    @classmethod
     def random(cls, group, chi, degree, rng) -> "CyclicCochain":
         vec = [
             Scalar.rational(rng.randint(-3, 3))
@@ -522,12 +517,6 @@ class OperatorCache:
                 raise ValueError(f"unknown operator {op!r}")
             self._rows[key] = list(atom_rows(grp, atoms, degree + self.OPS[op]))
         return self._rows[key]
-
-    def apply(self, op: str, phi: CyclicCochain) -> CyclicCochain:
-        return CyclicCochain(
-            self.group, self.chi, phi.degree + self.OPS[op],
-            apply_rows(self.rows(op, phi.degree), phi.vec, Scalar.zero()),
-        )
 
 
 def mixed_complex_report(

@@ -47,6 +47,10 @@ class CoordOutOfRange(ValueError):
     """Variable coordinate index exceeds the group's coordinate count."""
 
 
+class ExprTooDeep(ValueError):
+    """Expression nests deeper than the parser and flattener can recurse."""
+
+
 _ARG_NAMES = ("i", "j", "k")
 
 
@@ -142,11 +146,19 @@ def _describe(src: str, pos: int) -> str:
 
 
 def parse_expr(src: str, arity: int, coords: int):
-    """Parse src; validate variables against arity and coordinate count."""
+    """Parse src; validate variables against arity and coordinate count.
+
+    The AST is flattened here too, so input nested deeper than the
+    interpreter can recurse (deep parentheses, or thousands of summands,
+    whose tree is as deep as the sum is long) raises ExprTooDeep."""
     if arity not in (2, 3):
         raise ArityError(f"arity must be 2 or 3, got {arity}")
     toks = _Tokens(src)
-    ast = _parse_expr(toks)
+    try:
+        ast = _parse_expr(toks)
+        _compile(ast)
+    except RecursionError:
+        raise ExprTooDeep("expression nests too deeply to parse") from None
     kind, _, pos = toks.peek()
     if kind != "end":
         raise ExprSyntaxError(pos, {"+", "-", "*", "end of input"}, kind)
@@ -205,17 +217,20 @@ def _validate(ast, arity: int, coords: int):
             )
 
 
-def _vars(node):
-    """The variable leaves of an AST, left to right."""
-    if isinstance(node, Var):
-        yield node
-    elif isinstance(node, (Add, Sub, Mul)):
-        yield from _vars(node.left)
-        yield from _vars(node.right)
-    elif isinstance(node, Neg):
-        yield from _vars(node.operand)
-    elif isinstance(node, Paren):
-        yield from _vars(node.inner)
+def _vars(ast):
+    """The variable leaves of an AST, left to right; no recursion, so
+    leaf_counts works on any tree parse_expr accepted."""
+    stack = [ast]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            yield node
+        elif isinstance(node, (Add, Sub, Mul)):
+            stack += (node.right, node.left)
+        elif isinstance(node, Neg):
+            stack.append(node.operand)
+        elif isinstance(node, Paren):
+            stack.append(node.inner)
 
 
 def leaf_counts(ast) -> Counter:

@@ -102,15 +102,3 @@ def rank_kernel(rows: list[list[Scalar]]) -> tuple[int, list[list[Scalar]]]:
                 x[c] = -v
         kernel.append(x)
     return len(pivots), kernel
-
-
-def matrix_apply(rows: list[list[Scalar]], vec: list[Scalar]) -> list[Scalar]:
-    zero = Scalar.zero()
-    out = []
-    for row in rows:
-        s = zero
-        for x, v in zip(row, vec):
-            if not x.is_zero() and not v.is_zero():
-                s = s + x * v
-        out.append(s)
-    return out

@@ -104,41 +104,64 @@ def builtin(name: str) -> Preset:
 BUILTIN_NAMES = ("octonion", "torus", "z2_trivial")
 
 
+_MISSING = object()
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def _field(obj: dict, path: str, kind, default=_MISSING):
+    """The entry of obj named by the last key of a dotted preset path; it
+    must have the given JSON type, and may be absent only given a default."""
+    key = path.rpartition(".")[2]
+    if key not in obj:
+        if default is _MISSING:
+            raise ValueError(f"preset field {path!r} is missing")
+        return default
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(
+            f"preset field {path!r} must be {_JSON_KINDS[kind]}, got {type(value).__name__}"
+        )
+    return value
+
+
 def from_dict(data: dict) -> Preset:
+    if not isinstance(data, dict):
+        raise ValueError(f"a preset must be a JSON object, got {type(data).__name__}")
+    grp = _field(data, "group", dict)
     group = GroupSpec(
-        tuple(data["group"].get("cyclic_orders", ())),
-        data["group"].get("free_rank", 0),
+        tuple(_field(grp, "group.cyclic_orders", list, ())),
+        _field(grp, "group.free_rank", int, 0),
     )
-    scalars = data["scalars"]
-    cf = data["cochain_F"]
+    scalars = _field(data, "scalars", str)
+    cf = _field(data, "cochain_F", dict)
     if "expr" in cf:
-        if cf["base"] == "root_of_unity":
-            base = ("root_of_unity", cf["order"])
-        elif cf["base"] == "laurent":
+        kind = _field(cf, "cochain_F.base", str)
+        if kind == "root_of_unity":
+            base = ("root_of_unity", _field(cf, "cochain_F.order", int))
+        elif kind == "laurent":
             base = ("laurent",)
         else:
-            raise ValueError(f"unknown cochain base {cf['base']!r}")
-        cochain_spec = ("expr", base, cf["expr"])
+            raise ValueError(f"unknown cochain base {kind!r}")
+        cochain_spec = ("expr", base, _field(cf, "cochain_F.expr", str))
     elif "table" in cf:
-        order = data.get("cochain_order", group.exponent)
+        order = _field(data, "cochain_order", int, group.exponent)
         entries = [
             (tuple(g), tuple(h), parse_scalar(s, scalars, order))
-            for g, h, s in cf["table"]
+            for g, h, s in _field(cf, "cochain_F.table", list)
         ]
         cochain_spec = ("table", tuple(entries))
     else:
         raise ValueError("cochain_F needs an expr or a table")
-    calc = data["calculus"]
-    weights = tuple(tuple(w) for w in calc.get("weights", ()))
-    ribbon = tuple(data["ribbon"]) if "ribbon" in data else None
+    calc = _field(data, "calculus", dict)
+    ribbon = _field(data, "ribbon", list, None)
     return Preset(
-        name=data["name"],
+        name=_field(data, "name", str),
         group=group,
         scalars=scalars,
         cochain_spec=cochain_spec,
-        calculus_kind=calc["kind"],
-        weights=weights,
-        ribbon=ribbon,
+        calculus_kind=_field(calc, "calculus.kind", str),
+        weights=tuple(tuple(w) for w in _field(calc, "calculus.weights", list, ())),
+        ribbon=tuple(ribbon) if ribbon is not None else None,
     )
 
 

@@ -1,8 +1,9 @@
 """The twisted group quasialgebra: G-graded elements under g._F h = F(g,h)(g+h).
 
 Elements are finitely supported Scalar-valued maps on the group, extended
-bilinearly.  Associativity fails in general; the defect is the coboundary
-3-cocycle of F, and the braiding R_F makes the product braided-commutative.
+bilinearly; SparseSum is their body, shared with the calculus' forms.
+Associativity fails in general; the defect is the coboundary 3-cocycle of
+F, and the braiding R_F makes the product braided-commutative.
 The Cayley-Dickson doubling here is an independent oracle for the octonion
 preset: the two constructions are compared by structural properties
 (squares, anticommutation, alternativity, norm), never by a basis bijection.
@@ -14,104 +15,118 @@ from fractions import Fraction
 
 from .cochains import Cochain2, LawReport, braiding_R, coboundary_phi, domain_elements
 from .groups import GroupSpec, SpecMismatch
-from .scalars import Scalar
+from .scalars import Scalar, join_terms
 
 
-class GradedElement:
-    """Finitely supported map GroupElement -> Scalar; no zero terms stored."""
+class SparseSum:
+    """Finitely supported map key -> Scalar over one space; no zero terms
+    stored.  A subclass names the space, says how a key is checked
+    (`_keyer(space)` returns the function that canonicalizes one key) and
+    how it renders (`_render`)."""
 
-    __slots__ = ("group", "terms")
+    __slots__ = ("space", "terms")
 
-    def __init__(self, group: GroupSpec, terms=()):
-        self.group = group
+    def __init__(self, space, terms=()):
+        self.space = space
+        key = self._keyer(space)
         acc: dict = {}
         items = terms.items() if hasattr(terms, "items") else terms
-        for g, c in items:
+        for k, c in items:
             if not isinstance(c, Scalar):
                 c = Scalar.rational(c)
-            g = group.reduce(g)
-            prev = acc.get(g)
+            k = key(k)
+            prev = acc.get(k)
             c = prev + c if prev is not None else c
             if c.is_zero():
-                acc.pop(g, None)
+                acc.pop(k, None)
             else:
-                acc[g] = c
+                acc[k] = c
         self.terms = acc
-
-    @classmethod
-    def basis(cls, group: GroupSpec, g, coeff=1) -> "GradedElement":
-        return cls(group, [(g, coeff)])
-
-    @classmethod
-    def zero(cls, group: GroupSpec) -> "GradedElement":
-        return cls(group)
-
-    @classmethod
-    def unit(cls, group: GroupSpec) -> "GradedElement":
-        return cls.basis(group, group.identity())
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "GradedElement") -> "GradedElement":
+    def __add__(self, other):
         self._check(other)
-        return GradedElement(self.group, list(self.terms.items()) + list(other.terms.items()))
+        return type(self)(self.space, list(self.terms.items()) + list(other.terms.items()))
 
-    def __sub__(self, other: "GradedElement") -> "GradedElement":
+    def __sub__(self, other):
         return self + (-1) * other
 
-    def __rmul__(self, scalar) -> "GradedElement":
+    def __rmul__(self, scalar):
         if not isinstance(scalar, Scalar):
             scalar = Scalar.rational(scalar)
-        return GradedElement(self.group, [(g, scalar * c) for g, c in self.terms.items()])
+        return type(self)(self.space, [(k, scalar * c) for k, c in self.terms.items()])
 
     def __neg__(self):
         return (-1) * self
 
     def __eq__(self, other):
         return (
-            isinstance(other, GradedElement)
-            and self.group == other.group
+            isinstance(other, type(self))
+            and self.space == other.space
             and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.group, frozenset(self.terms.items())))
+        return hash((self.space, frozenset(self.terms.items())))
 
-    def _check(self, other: "GradedElement"):
-        if self.group != other.group:
-            raise SpecMismatch("elements live over different group specs")
+    def _check(self, other):
+        if self.space != other.space:
+            raise SpecMismatch(self._mismatch)
 
     def __str__(self):
-        return render_graded(self)
+        return self._render()
 
     def __repr__(self):
-        return f"GradedElement({render_graded(self)!r})"
+        return f"{type(self).__name__}({self._render()!r})"
 
 
-def render_graded(a: GradedElement) -> str:
-    """Canonical text like "3/2*u*v - q^2*w"; identity element prints as e."""
-    if not a.terms:
-        return "0"
-    parts = []
-    for body, g in sorted((a.group.render_element(g), g) for g in a.terms):
-        c = a.terms[g]
+def render_sum(terms) -> str:
+    """Text of (body, coefficient) pairs in order: "3/2*u*v - q^2*w"."""
+    out = []
+    for body, c in terms:
         cs = c.render()
         if " " in cs:
             cs = f"({cs})"
         if cs == "1":
-            term = body
+            out.append(body)
         elif cs == "-1":
-            term = f"-{body}"
+            out.append(f"-{body}")
         else:
-            term = f"{cs}*{body}"
-        if not parts:
-            parts.append(term)
-        elif term.startswith("-"):
-            parts.append(f"- {term[1:]}")
-        else:
-            parts.append(f"+ {term}")
-    return " ".join(parts)
+            out.append(f"{cs}*{body}")
+    return join_terms(out)
+
+
+def render_graded(a: "GradedElement") -> str:
+    """Canonical text like "3/2*u*v - q^2*w"; identity element prints as e."""
+    return render_sum(
+        (body, a.terms[g]) for body, g in sorted((a.group.render_element(g), g) for g in a.terms)
+    )
+
+
+class GradedElement(SparseSum):
+    """Finitely supported map GroupElement -> Scalar over a group."""
+
+    __slots__ = ()
+    _mismatch = "elements live over different group specs"
+    _render = render_graded
+
+    @staticmethod
+    def _keyer(group: GroupSpec):
+        return group.reduce
+
+    @property
+    def group(self) -> GroupSpec:
+        return self.space
+
+    @classmethod
+    def basis(cls, group: GroupSpec, g, coeff=1) -> "GradedElement":
+        return cls(group, [(g, coeff)])
+
+    @classmethod
+    def unit(cls, group: GroupSpec) -> "GradedElement":
+        return cls.basis(group, group.identity())
 
 
 def twisted_product(F, a: GradedElement, b: GradedElement) -> GradedElement:
@@ -161,6 +176,36 @@ def check_ribbon_axiom(F: Cochain2, weight, domain="exhaustive") -> LawReport:
             if lhs != rhs:
                 return LawReport("ribbon_axiom", label, False, (g, h))
     return LawReport("ribbon_axiom", label, True)
+
+
+def check_algebra_laws(F: Cochain2, law: str, domain="exhaustive") -> LawReport:
+    """Check one law of the twisted product on basis elements over a domain.
+
+    braided_commutativity: g.h = R_F(h,g) h.g;
+    quasi_associativity: g.(h.k) = phi(g,h,k) (g.h).k, phi the coboundary of F.
+    """
+    grp = F.group
+    els, label = domain_elements(grp, domain)
+    e = lambda g: GradedElement.basis(grp, g)
+    if law == "braided_commutativity":
+        R = braiding_R(F)
+        for g in els:
+            for h in els:
+                lhs = twisted_product(F, e(g), e(h))
+                if lhs != R.value(h, g) * twisted_product(F, e(h), e(g)):
+                    return LawReport(law, label, False, (g, h))
+        return LawReport(law, label, True)
+    if law == "quasi_associativity":
+        phi = coboundary_phi(F)
+        for g in els:
+            for h in els:
+                gh = twisted_product(F, e(g), e(h))
+                for k in els:
+                    lhs = twisted_product(F, e(g), twisted_product(F, e(h), e(k)))
+                    if lhs != phi.value(g, h, k) * twisted_product(F, gh, e(k)):
+                        return LawReport(law, label, False, (g, h, k))
+        return LawReport(law, label, True)
+    raise ValueError(f"unknown law {law!r}")
 
 
 def norm_square(a: GradedElement) -> Fraction:

@@ -468,22 +468,25 @@ def _root_of_unity(N: int, k: int) -> Scalar:
 
 def _render_terms(terms) -> str:
     # terms: list of (coeff, symbol, exponent), already ordered
-    if not terms:
-        return "0"
-    parts = []
-    for i, (c, sym, e) in enumerate(terms):
-        neg = c < 0
-        mag = -c if neg else c
+    out = []
+    for c, sym, e in terms:
+        mag = -c if c < 0 else c
         if e == 0:
             body = str(mag)
         else:
             pw = sym if e == 1 else f"{sym}^{e}"
             body = pw if mag == 1 else f"{mag}*{pw}"
-        if i == 0:
-            parts.append(f"-{body}" if neg else body)
-        else:
-            parts.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(parts)
+        out.append(f"-{body}" if c < 0 else body)
+    return join_terms(out)
+
+
+def join_terms(terms) -> str:
+    """Rendered terms, each with an optional leading "-", joined as
+    "a + b - c"; no terms is "0"."""
+    signed = " ".join(f"- {t[1:]}" if t.startswith("-") else f"+ {t}" for t in terms)
+    if not signed:
+        return "0"
+    return signed[2:] if signed[0] == "+" else f"-{signed[2:]}"
 
 
 # ---------------------------------------------------------------------------

@@ -162,8 +162,8 @@ def test_03_volume_character_all_routes_agree():
 def test_04_character_is_cyclic_cocycle_untwisted_and_twisted():
     with budget(5):
         spec = OCT.calculus()
-        phi = CyclicCochain.from_fn(
-            E3, OCT_CHI, 3, lambda t: character_closed(spec, "general", t)
+        phi = CyclicCochain(
+            E3, OCT_CHI, 3, [character_closed(spec, "general", t) for t in full_tuples(E3, 3)]
         )
         zero4 = CyclicCochain.zero(E3, OCT_CHI, 4)
         assert apply_lambda(phi) == phi

@@ -4,7 +4,7 @@ import pytest
 
 from quasicyc import cli
 from quasicyc.calculus import character_closed
-from quasicyc.cyclic import CyclicCochain
+from quasicyc.cyclic import CyclicCochain, full_tuples
 from quasicyc.presets import builtin
 from quasicyc.twist import transport
 
@@ -143,10 +143,9 @@ def test_cohomology_report(capsys):
 
 def test_twist_subcommand_round_trip(tmp_path, capsys):
     pre = builtin("octonion")
-    phi = CyclicCochain.from_fn(
-        pre.group, pre.ribbon_weight(), 3,
-        lambda t: character_closed(pre.calculus(), "general", t),
-    )
+    phi = CyclicCochain(pre.group, pre.ribbon_weight(), 3, [
+        character_closed(pre.calculus(), "general", t) for t in full_tuples(pre.group, 3)
+    ])
     src = tmp_path / "phi.json"
     dst = tmp_path / "phi_F.json"
     src.write_text(json.dumps(phi.to_json()))
@@ -199,3 +198,65 @@ def test_twist_group_mismatch_exits_2(tmp_path, capsys):
                    "--in", str(src), "--out", str(tmp_path / "out.json")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+Z2_PRESET = {
+    "name": "z2_expr", "group": {"cyclic_orders": [2]}, "scalars": "cyclotomic",
+    "cochain_F": {"expr": "i1*j1", "base": "root_of_unity", "order": 2},
+    "calculus": {"kind": "characters", "weights": [[1]]},
+}
+
+
+def write_preset(tmp_path, data):
+    path = tmp_path / "preset.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("expr", [
+    "+".join(["i1*j1"] * 2000),
+    "(" * 1000 + "i1*j1" + ")" * 1000,
+], ids=["2000_summands", "1000_parentheses"])
+def test_deep_expression_exits_2(tmp_path, capsys, expr):
+    path = write_preset(tmp_path, {**Z2_PRESET, "cochain_F": {**Z2_PRESET["cochain_F"], "expr": expr}})
+    rc, out, err = run(capsys, "verify", "--preset", path, "--suite", "cochain")
+    assert rc == 2
+    assert out == ""
+    assert "nests too deeply" in err
+
+
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+@pytest.mark.parametrize("data, message", [
+    (_without(Z2_PRESET, "scalars"), "preset field 'scalars' is missing"),
+    ({**Z2_PRESET, "group": [2]}, "preset field 'group' must be an object, got list"),
+    (
+        {**Z2_PRESET, "cochain_F": {**Z2_PRESET["cochain_F"], "order": "2"}},
+        "preset field 'cochain_F.order' must be an integer, got str",
+    ),
+    ([Z2_PRESET], "a preset must be a JSON object, got list"),
+    (
+        {**Z2_PRESET, "cochain_F": _without(Z2_PRESET["cochain_F"], "order")},
+        "preset field 'cochain_F.order' is missing",
+    ),
+], ids=["no_scalars", "group_list", "order_string", "top_level_list", "no_order"])
+def test_malformed_preset_json_exits_2(tmp_path, capsys, data, message):
+    path = write_preset(tmp_path, data)
+    rc, out, err = run(capsys, "verify", "--preset", path, "--suite", "cochain")
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_closed_form_follows_the_calculus_not_the_name(tmp_path, capsys):
+    # a preset named "octonion" on Z2^2 takes the general closed form
+    path = write_preset(tmp_path, {
+        "name": "octonion", "group": {"cyclic_orders": [2, 2]}, "scalars": "cyclotomic",
+        "cochain_F": {"expr": "i1*j2", "base": "root_of_unity", "order": 2},
+        "calculus": {"kind": "characters", "weights": [[1, 0], [0, 1]]},
+    })
+    for extra in ([], ["--closed-form"]):
+        rc, out, err = run(capsys, "character", "--preset", path, "--args", "uv,u,v", *extra)
+        assert (rc, out, err) == (0, "4\n", "")

@@ -54,7 +54,7 @@ def test_render():
     grp = Z2_3
     x = GradedElement(grp, [((1, 1, 0), Scalar.rational(3, 2)), (W, -Scalar.q_power(2))])
     assert render_graded(x) == "3/2*u*v - q^2*w"
-    assert render_graded(GradedElement.zero(grp)) == "0"
+    assert render_graded(GradedElement(grp)) == "0"
     assert render_graded(b(E3, -1)) == "-e"
 
 

@@ -8,6 +8,7 @@ from quasicyc.cyclic import (
     apply_b,
     apply_lambda,
     cohomology_dims,
+    full_tuples,
     space_dim,
 )
 from quasicyc.groups import GroupSpec, InfiniteGroup, SpecMismatch
@@ -80,8 +81,8 @@ def test_conjugation_preserves_kernels():
     from quasicyc.calculus import character_closed
 
     spec = OCT.calculus()
-    phi = CyclicCochain.from_fn(
-        E3, OCT_CHI, 3, lambda t: character_closed(spec, "general", t)
+    phi = CyclicCochain(
+        E3, OCT_CHI, 3, [character_closed(spec, "general", t) for t in full_tuples(E3, 3)]
     )
     phi_F = transport(phi, OCT_F)
     assert (apply_lambda_twisted(phi_F, OCT_F) - phi_F).is_zero()
