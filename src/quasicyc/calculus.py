@@ -89,6 +89,11 @@ class CalculusSpec:
     def chi_total(self, g) -> Scalar:
         return self.group.char_eval(self.ribbon_weight(), g)
 
+    def form_key(self, k) -> tuple:
+        """A form term's key (g, S) with g reduced and S checked."""
+        g, S = k
+        return self.group.reduce(g), _check_indices(self, S)
+
 
 def render_form(x: "Form") -> str:
     """Canonical text like "-2*u*w1 + u*v*w1^w2"; wedge joins with ^."""
@@ -107,22 +112,10 @@ class Form(SparseSum):
     """Finitely supported map (g, S) -> Scalar, S a sorted index tuple."""
 
     __slots__ = ()
+    spec = SparseSum.space  # the space under its name for forms
+    _key = "form_key"
     _mismatch = "forms live over different calculi"
     _render = render_form
-
-    @staticmethod
-    def _keyer(spec: CalculusSpec):
-        reduce = spec.group.reduce
-
-        def key(k):
-            g, S = k
-            return reduce(g), _check_indices(spec, S)
-
-        return key
-
-    @property
-    def spec(self) -> CalculusSpec:
-        return self.space
 
     @classmethod
     def basis(cls, spec: CalculusSpec, g, S=(), coeff=1) -> "Form":

@@ -20,15 +20,15 @@ from .scalars import Scalar, join_terms
 
 class SparseSum:
     """Finitely supported map key -> Scalar over one space; no zero terms
-    stored.  A subclass names the space, says how a key is checked
-    (`_keyer(space)` returns the function that canonicalizes one key) and
-    how it renders (`_render`)."""
+    stored.  A subclass names the space's method that canonicalizes one key
+    (`_key`), the text of the whole sum (`_render`) and the error for sums
+    over two spaces (`_mismatch`)."""
 
     __slots__ = ("space", "terms")
 
     def __init__(self, space, terms=()):
         self.space = space
-        key = self._keyer(space)
+        key = getattr(space, self._key)
         acc: dict = {}
         items = terms.items() if hasattr(terms, "items") else terms
         for k, c in items:
@@ -109,16 +109,10 @@ class GradedElement(SparseSum):
     """Finitely supported map GroupElement -> Scalar over a group."""
 
     __slots__ = ()
+    group = SparseSum.space  # the space under its name for elements
+    _key = "reduce"
     _mismatch = "elements live over different group specs"
     _render = render_graded
-
-    @staticmethod
-    def _keyer(group: GroupSpec):
-        return group.reduce
-
-    @property
-    def group(self) -> GroupSpec:
-        return self.space
 
     @classmethod
     def basis(cls, group: GroupSpec, g, coeff=1) -> "GradedElement":
