@@ -116,7 +116,11 @@ def _field(obj: dict, path: str, kind, default=_MISSING):
         if default is _MISSING:
             raise ValueError(f"preset field {path!r} is missing")
         return default
-    value = obj[key]
+    return _typed(obj[key], path, kind)
+
+
+def _typed(value, path: str, kind):
+    """value, which must have the given JSON type at that preset path."""
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(
             f"preset field {path!r} must be {_JSON_KINDS[kind]}, got {type(value).__name__}"
@@ -124,12 +128,17 @@ def _field(obj: dict, path: str, kind, default=_MISSING):
     return value
 
 
+def _int_list(value, path: str) -> tuple:
+    """A preset list of integers, as a tuple; a bad entry is named by index."""
+    return tuple(_typed(v, f"{path}[{i}]", int) for i, v in enumerate(_typed(value, path, list)))
+
+
 def from_dict(data: dict) -> Preset:
     if not isinstance(data, dict):
         raise ValueError(f"a preset must be a JSON object, got {type(data).__name__}")
     grp = _field(data, "group", dict)
     group = GroupSpec(
-        tuple(_field(grp, "group.cyclic_orders", list, ())),
+        _int_list(_field(grp, "group.cyclic_orders", list, []), "group.cyclic_orders"),
         _field(grp, "group.free_rank", int, 0),
     )
     scalars = _field(data, "scalars", str)
@@ -145,10 +154,13 @@ def from_dict(data: dict) -> Preset:
         cochain_spec = ("expr", base, _field(cf, "cochain_F.expr", str))
     elif "table" in cf:
         order = _field(data, "cochain_order", int, group.exponent)
-        entries = [
-            (tuple(g), tuple(h), parse_scalar(s, scalars, order))
-            for g, h, s in _field(cf, "cochain_F.table", list)
-        ]
+        entries = []
+        for i, row in enumerate(_field(cf, "cochain_F.table", list)):
+            path = f"cochain_F.table[{i}]"
+            if len(_typed(row, path, list)) != 3:
+                raise ValueError(f"preset field {path!r} must be a [g, h, scalar] triple")
+            g, h = _int_list(row[0], f"{path}[0]"), _int_list(row[1], f"{path}[1]")
+            entries.append((g, h, parse_scalar(_typed(row[2], f"{path}[2]", str), scalars, order)))
         cochain_spec = ("table", tuple(entries))
     else:
         raise ValueError("cochain_F needs an expr or a table")
@@ -160,8 +172,11 @@ def from_dict(data: dict) -> Preset:
         scalars=scalars,
         cochain_spec=cochain_spec,
         calculus_kind=_field(calc, "calculus.kind", str),
-        weights=tuple(tuple(w) for w in _field(calc, "calculus.weights", list, ())),
-        ribbon=tuple(ribbon) if ribbon is not None else None,
+        weights=tuple(
+            _int_list(w, f"calculus.weights[{i}]")
+            for i, w in enumerate(_field(calc, "calculus.weights", list, []))
+        ),
+        ribbon=_int_list(ribbon, "ribbon") if ribbon is not None else None,
     )
 
 

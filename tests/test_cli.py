@@ -241,7 +241,34 @@ def _without(d, key):
         {**Z2_PRESET, "cochain_F": _without(Z2_PRESET["cochain_F"], "order")},
         "preset field 'cochain_F.order' is missing",
     ),
-], ids=["no_scalars", "group_list", "order_string", "top_level_list", "no_order"])
+    (
+        {**Z2_PRESET, "group": {"cyclic_orders": ["2"]}},
+        "preset field 'group.cyclic_orders[0]' must be an integer, got str",
+    ),
+    (
+        {**Z2_PRESET, "calculus": {"kind": "characters", "weights": [1]}},
+        "preset field 'calculus.weights[0]' must be a list, got int",
+    ),
+    (
+        {**Z2_PRESET, "calculus": {"kind": "characters", "weights": [[True]]}},
+        "preset field 'calculus.weights[0][0]' must be an integer, got bool",
+    ),
+    ({**Z2_PRESET, "ribbon": [1, "0"]}, "preset field 'ribbon[1]' must be an integer, got str"),
+    (
+        {**Z2_PRESET, "cochain_F": {"table": [[[0], [0]]]}},
+        "preset field 'cochain_F.table[0]' must be a [g, h, scalar] triple",
+    ),
+    (
+        {**Z2_PRESET, "cochain_F": {"table": [[[0], ["1"], "1"]]}},
+        "preset field 'cochain_F.table[0][1][0]' must be an integer, got str",
+    ),
+    (
+        {**Z2_PRESET, "cochain_F": {"table": [[[0], [1], 1]]}},
+        "preset field 'cochain_F.table[0][2]' must be a string, got int",
+    ),
+], ids=["no_scalars", "group_list", "order_string", "top_level_list", "no_order",
+        "order_entry_string", "weight_not_list", "weight_entry_bool", "ribbon_entry_string",
+        "table_row_pair", "table_coordinate_string", "table_scalar_int"])
 def test_malformed_preset_json_exits_2(tmp_path, capsys, data, message):
     path = write_preset(tmp_path, data)
     rc, out, err = run(capsys, "verify", "--preset", path, "--suite", "cochain")
