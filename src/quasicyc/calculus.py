@@ -7,8 +7,10 @@ Two kinds:
   derivations  one generator per free coordinate; w_k central; d reads
                off the coordinate exponents (requires a torsion-free group)
 
-Forms are finitely supported maps (g, S) -> Scalar with S a subset of
-{1..n}; the group part multiplies on the left of the wedge monomial w_S.
+Forms are finitely supported maps (g, S) -> Unit or Scalar with S a subset
+of {1..n}; the group part multiplies on the left of the wedge monomial w_S.
+The commutation characters chi_i return Units, so a product of two terms
+multiplies its sign, chi and F factors as one Unit and applies it once.
 d(a w_S) = (da) w_S, where da is sum_i (chi_i(a)-1) a w_i for the
 characters kind and sum_k coord_k(a) a w_k for derivations.  Twisting by
 a 2-cochain F changes only the product, never d.
@@ -28,7 +30,10 @@ from dataclasses import dataclass
 from .cochains import LawReport, braiding_R, domain_elements
 from .groups import GroupSpec, SpecMismatch
 from .quasialgebra import GradedElement, SparseSum, render_sum
-from .scalars import Scalar
+from .scalars import Scalar, Unit
+
+
+_UNIT_ONE = Unit.one()
 
 
 class DegreeMismatch(ValueError):
@@ -71,11 +76,11 @@ class CalculusSpec:
             return len(self.weights)
         return self.group.free_rank
 
-    def chi(self, i: int, g) -> Scalar:
+    def chi(self, i: int, g) -> Unit:
         """Commutation character of w_i (1-based); trivial for derivations."""
         if self.kind == "characters":
             return self.group.char_eval(self.weights[i - 1], g)
-        return Scalar.one()
+        return Unit.one()
 
     def deriv_coeff(self, i: int, g) -> int:
         return self.group.reduce(g)[i - 1]
@@ -86,7 +91,7 @@ class CalculusSpec:
             return self.group.combine_weights(self.weights)
         return ()
 
-    def chi_total(self, g) -> Scalar:
+    def chi_total(self, g) -> Unit:
         return self.group.char_eval(self.ribbon_weight(), g)
 
     def form_key(self, k) -> tuple:
@@ -109,7 +114,8 @@ def render_form(x: "Form") -> str:
 
 
 class Form(SparseSum):
-    """Finitely supported map (g, S) -> Scalar, S a sorted index tuple."""
+    """Finitely supported map (g, S) -> Unit or Scalar, S a sorted index
+    tuple."""
 
     __slots__ = ()
     spec = SparseSum.space  # the space under its name for forms
@@ -148,15 +154,15 @@ def form_product(spec: CalculusSpec, x: Form, y: Form, F=None) -> Form:
         for (h, T), cy in y.terms.items():
             if set(S) & set(T):
                 continue
-            c = cx * cy
+            u = _UNIT_ONE if F is None else F.value(g, h)
+            for i in S:
+                u = u * spec.chi(i, h)
+            c = u * (cx * cy)
             if _shuffle_sign(S, T) < 0:
                 c = -c
-            for i in S:
-                c = c * spec.chi(i, h)
-            if F is not None:
-                c = c * F.value(g, h)
             out.append(((grp.mul(g, h), tuple(sorted(S + T))), c))
-    return Form(spec, out)
+    # the keys of x and y are canonical, so their products are
+    return Form._keyed(spec, out)
 
 
 def differential(spec: CalculusSpec, x: Form) -> Form:
@@ -169,17 +175,17 @@ def differential(spec: CalculusSpec, x: Form) -> Form:
             if i in S:
                 continue
             if spec.kind == "characters":
-                ci = spec.chi(i, g) - Scalar.one()
+                ci = spec.chi(i, g) - 1
             else:
-                ci = Scalar.rational(spec.deriv_coeff(i, g))
-            if ci.is_zero():
+                ci = spec.deriv_coeff(i, g)
+            if not ci:
                 continue
             below = sum(1 for s in S if s < i)
             coeff = c * ci
             if below % 2:
                 coeff = -coeff
             out.append(((g, tuple(sorted(S + (i,)))), coeff))
-    return Form(spec, out)
+    return Form._keyed(spec, out)
 
 
 def _warn_below_top(x: Form, op: str):
@@ -203,7 +209,7 @@ def top_projection(spec: CalculusSpec, x: Form) -> GradedElement:
     )
 
 
-def integral(spec: CalculusSpec, x: Form) -> Scalar:
+def integral(spec: CalculusSpec, x: Form):
     """Graded trace: identity-component of the top projection."""
     if x.spec != spec:
         raise SpecMismatch("form does not belong to this calculus")
@@ -216,7 +222,7 @@ def integral(spec: CalculusSpec, x: Form) -> Scalar:
 # ---------------------------------------------------------------------------
 # cyclic cocycle characters
 
-def character_direct(spec: CalculusSpec, gs, F=None) -> Scalar:
+def character_direct(spec: CalculusSpec, gs, F=None):
     """integral of g0 dg1 .. dgn, products taken left to right."""
     gs = [spec.group.reduce(g) for g in gs]
     if len(gs) != spec.n + 1:

@@ -10,6 +10,11 @@ braiding
 
     R_F(g1,g2) = F(g2,g1) F(g1,g2)^-1.
 
+Values are `scalars.Unit`s, c*zeta^a*q^b, wherever they are monomials:
+every from_expr value, and the monomial entries of from_table, whose other
+units (1 + zeta_5, say) stay Scalars.  phi_F and R_F multiply and invert
+whichever they get, so on Units they are additions of exponents.
+
 Construction decides unitality exactly on all of G.  from_table checks
 its finite group exhaustively.  from_expr's F is base^e, e an integer
 polynomial, unital iff e(e_G, h) = e(h, e_G) = 0 for every h (mod N for
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 
 from .exprdsl import eval_expr, leaf_counts, parse_expr
 from .groups import GroupSpec, InfiniteGroup
-from .scalars import Scalar
+from .scalars import Unit
 
 
 @dataclass(frozen=True)
@@ -52,8 +57,9 @@ class LawReport:
 
 
 class Cochain2:
-    """F: G^2 -> unit scalars.  from_expr and from_table check unitality;
-    the constructor is the unchecked one, for cochains unital by design."""
+    """F: G^2 -> units, each a Unit or (for a table entry that is no
+    monomial) a Scalar.  from_expr and from_table check unitality; the
+    constructor is the unchecked one, for cochains unital by design."""
 
     arity = 2
 
@@ -71,11 +77,11 @@ class Cochain2:
             N = base[1]
             if N < 1:
                 raise ValueError("N must be >= 1")
-            fn = lambda g, h: Scalar.root_of_unity(N, eval_expr(ast, (g, h)))
+            fn = lambda g, h: Unit.root_of_unity(N, eval_expr(ast, (g, h)))
             desc = f"zeta_{N}^({expr_src})"
         elif base[0] == "laurent":
             N = 0
-            fn = lambda g, h: Scalar.q_power(eval_expr(ast, (g, h)))
+            fn = lambda g, h: Unit.q_power(eval_expr(ast, (g, h)))
             desc = f"q^({expr_src})"
         else:
             raise ValueError(f"unknown value base {base!r}")
@@ -86,7 +92,8 @@ class Cochain2:
 
     @classmethod
     def from_table(cls, group: GroupSpec, entries) -> "Cochain2":
-        """entries: iterable of (g, h, Scalar); must cover all of G^2."""
+        """entries: iterable of (g, h, Scalar); must cover all of G^2.
+        Monomial entries are stored as Units."""
         if group.free_rank:
             raise InfiniteGroup("table cochains need a finite group")
         table = {}
@@ -98,13 +105,14 @@ class Cochain2:
             raise ValueError(f"table misses {len(missing)} pairs, first {missing[0]}")
         if any(s.is_zero() for s in table.values()):
             raise ValueError("table cochain values must be units")
+        table = {k: Unit.of(s) or s for k, s in table.items()}
         F = cls(group, lambda g, h: table[(g, h)], "table")
         rep = check_cochain_laws(F, "unital")
         if not rep.holds:
             raise ValueError(f"cochain is not unital: {rep}")
         return F
 
-    def value(self, g, h) -> Scalar:
+    def value(self, g, h):
         # the memo holds reduced keys only, so a caller's already-reduced
         # tuples hit it directly and reduce runs only on a miss; a new key
         # keeps the caller's tuples, shared across memos (dims RSS -8%)
@@ -123,7 +131,7 @@ class Cochain2:
 
 
 class Cochain3:
-    """phi: G^3 -> unit scalars, same shape as Cochain2 but arity 3."""
+    """phi: G^3 -> units, same shape as Cochain2 but arity 3."""
 
     arity = 3
 
@@ -133,7 +141,7 @@ class Cochain3:
         self._memo = {}
         self.description = description
 
-    def value(self, a, b, c) -> Scalar:
+    def value(self, a, b, c):
         # keyed like Cochain2.value
         abc = (a, b, c)
         try:
@@ -158,8 +166,7 @@ def coboundary_phi(F: Cochain2) -> Cochain3:
         return (
             F.value(g2, g3)
             * F.value(g1, grp.mul(g2, g3))
-            * F.value(g1, g2).inverse()
-            * F.value(grp.mul(g1, g2), g3).inverse()
+            * (F.value(g1, g2) * F.value(grp.mul(g1, g2), g3)).inverse()
         )
 
     return Cochain3(grp, fn, f"coboundary of {F.description}")
@@ -215,19 +222,17 @@ def check_cochain_laws(x, law: str, domain="exhaustive") -> LawReport:
     grp = x.group
     els, label = domain_elements(grp, domain)
     e = grp.identity()
-    one = Scalar.one()
-
     if law == "unital":
         if x.arity == 2:
             for g in els:
-                if x.value(e, g) != one:
+                if x.value(e, g) != 1:
                     return LawReport(law, label, False, (e, g), "F(e,g) != 1")
-                if x.value(g, e) != one:
+                if x.value(g, e) != 1:
                     return LawReport(law, label, False, (g, e), "F(g,e) != 1")
         else:
             for g in els:
                 for h in els:
-                    if x.value(g, e, h) != one:
+                    if x.value(g, e, h) != 1:
                         return LawReport(law, label, False, (g, e, h), "phi(g,e,h) != 1")
         return LawReport(law, label, True)
 

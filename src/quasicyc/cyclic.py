@@ -11,7 +11,9 @@ operator:
     (s_i phi)(g0..g_k) = phi(g0, .., g_i, e, g_{i+1}, .., g_k)
 
 Every operator here is a sum of one-point pullbacks: a map sending the full
-output tuple to one input tuple and a unit coefficient.  Operator identities
+output tuple to one input tuple and a unit coefficient, a `scalars.Unit`
+(the characters' values, and under a twist the transport prefactors), so
+composing pullbacks adds exponents.  Operator identities
 are checked pointwise on those pullbacks, which is equivalent to checking
 them against every cochain and much cheaper.  Operators act on vectors
 only as sparse rows from atom_rows, streamed once or stored for reuse, and
@@ -41,7 +43,7 @@ from functools import lru_cache
 from .cochains import LawReport
 from .groups import GroupSpec, InfiniteGroup
 from .linalg import rank_kernel
-from .scalars import Scalar
+from .scalars import Scalar, Unit
 
 
 class IndexOutOfRange(ValueError):
@@ -256,7 +258,7 @@ class CyclicCochain:
 # ---------------------------------------------------------------------------
 # one-point pullbacks
 
-_ONE = Scalar.one()
+_ONE = Unit.one()
 
 
 def identity_pull(t):
@@ -452,18 +454,17 @@ def apply_S(phi: CyclicCochain) -> CyclicCochain:
 def atom_rows(group, atoms, out_degree):
     """Yield the sparse row [(col, coeff)] of sum(coeff * pull) at each output
     tuple, in vector order.  Apply a stream once with apply_rows, or store it
-    with list() to apply it to many vectors.  Rational unit coefficients are
-    stored as +1/-1 ints so the apply loop can skip scalar multiplication."""
-    one = Scalar.one()
-    minus_one = Scalar.rational(-1)
+    with list() to apply it to many vectors.  Coefficients +1/-1 are stored
+    as ints so the apply loop can skip scalar multiplication; the others are
+    Units, or Scalars under a twist with non-monomial values."""
     for full in full_tuples(group, out_degree):
         row = []
         for coeff, pull in atoms:
             t_in, c = pull(full)
             v = c if coeff == 1 else coeff * c
-            if v == one:
+            if v == 1:
                 row.append((_index(group, t_in[1:]), 1))
-            elif v == minus_one:
+            elif v == -1:
                 row.append((_index(group, t_in[1:]), -1))
             else:
                 row.append((_index(group, t_in[1:]), v))

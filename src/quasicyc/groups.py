@@ -14,7 +14,8 @@ the dataclass fields, so equality, hashing, repr and pickling see only
 `cyclic_orders` and `free_rank`.
 
 Characters are weight vectors on the torsion part; their values are
-roots of unity of order N = lcm(cyclic orders).
+roots of unity of order N = lcm(cyclic orders), returned by `char_eval` as
+`scalars.Unit`s.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from math import lcm
 from operator import add, mod, neg
 
-from .scalars import Scalar
+from .scalars import Unit
 
 
 class SpecMismatch(ValueError):
@@ -166,15 +167,16 @@ class GroupSpec:
             )
         return tuple(wi % m for wi, m in zip(w, self.cyclic_orders))
 
-    def char_eval(self, w, g: Element) -> Scalar:
-        """zeta_N^{sum_t w_t g_t N/m_t}; multiplicative in g, trivial at e."""
+    def char_eval(self, w, g: Element) -> Unit:
+        """zeta_N^{sum_t w_t g_t N/m_t} as a Unit; multiplicative in g,
+        trivial at e."""
         w = self.check_weight(w)
         g = self.reduce(g)
         N = self.exponent
         e = 0
         for t, m in enumerate(self.cyclic_orders):
             e += w[t] * g[t] * (N // m)
-        return Scalar.root_of_unity(N, e)
+        return Unit.root_of_unity(N, e)
 
     def combine_weights(self, weights) -> tuple[int, ...]:
         """Weight of the pointwise product of the given characters."""

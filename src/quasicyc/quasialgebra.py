@@ -1,7 +1,8 @@
 """The twisted group quasialgebra: G-graded elements under g._F h = F(g,h)(g+h).
 
-Elements are finitely supported Scalar-valued maps on the group, extended
-bilinearly; SparseSum is their body, shared with the calculus' forms.
+Elements are finitely supported maps from the group to Units or Scalars,
+extended bilinearly; SparseSum is their body, shared with the calculus'
+forms.  A coefficient stays a Unit until two terms meet on one key.
 Associativity fails in general; the defect is the coboundary 3-cocycle of
 F, and the braiding R_F makes the product braided-commutative.
 The Cayley-Dickson doubling here is an independent oracle for the octonion
@@ -15,48 +16,43 @@ from fractions import Fraction
 
 from .cochains import Cochain2, LawReport, braiding_R, coboundary_phi, domain_elements
 from .groups import GroupSpec, SpecMismatch
-from .scalars import Scalar, join_terms
+from .scalars import Scalar, Unit, join_terms
 
 
 class SparseSum:
-    """Finitely supported map key -> Scalar over one space; no zero terms
-    stored.  A subclass names the space's method that canonicalizes one key
-    (`_key`), the text of the whole sum (`_render`) and the error for sums
-    over two spaces (`_mismatch`)."""
+    """Finitely supported map key -> Unit or Scalar over one space; no zero
+    terms stored.  A subclass names the space's method that canonicalizes one
+    key (`_key`), the text of the whole sum (`_render`) and the error for
+    sums over two spaces (`_mismatch`)."""
 
     __slots__ = ("space", "terms")
 
     def __init__(self, space, terms=()):
-        self.space = space
         key = getattr(space, self._key)
-        acc: dict = {}
         items = terms.items() if hasattr(terms, "items") else terms
-        for k, c in items:
-            if not isinstance(c, Scalar):
-                c = Scalar.rational(c)
-            k = key(k)
-            prev = acc.get(k)
-            c = prev + c if prev is not None else c
-            if c.is_zero():
-                acc.pop(k, None)
-            else:
-                acc[k] = c
-        self.terms = acc
+        self.space = space
+        self.terms = _accumulate([(key(k), c) for k, c in items])
+
+    @classmethod
+    def _keyed(cls, space, items) -> "SparseSum":
+        """The sum of (key, coefficient) pairs whose keys are canonical."""
+        out = cls.__new__(cls)
+        out.space = space
+        out.terms = _accumulate(items)
+        return out
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __add__(self, other):
         self._check(other)
-        return type(self)(self.space, list(self.terms.items()) + list(other.terms.items()))
+        return self._keyed(self.space, list(self.terms.items()) + list(other.terms.items()))
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __rmul__(self, scalar):
-        if not isinstance(scalar, Scalar):
-            scalar = Scalar.rational(scalar)
-        return type(self)(self.space, [(k, scalar * c) for k, c in self.terms.items()])
+        return self._keyed(self.space, [(k, scalar * c) for k, c in self.terms.items()])
 
     def __neg__(self):
         return (-1) * self
@@ -80,6 +76,22 @@ class SparseSum:
 
     def __repr__(self):
         return f"{type(self).__name__}({self._render()!r})"
+
+
+def _accumulate(items) -> dict:
+    """{key: coefficient} of (key, coefficient) pairs, like keys added and
+    zeros dropped; a nonzero int or Fraction becomes a Unit."""
+    acc: dict = {}
+    for k, c in items:
+        if not isinstance(c, (Unit, Scalar)):
+            c = Unit(c) if c else Scalar.zero()
+        prev = acc.get(k)
+        c = prev + c if prev is not None else c
+        if c.is_zero():
+            acc.pop(k, None)
+        else:
+            acc[k] = c
+    return acc
 
 
 def render_sum(terms) -> str:
@@ -106,7 +118,7 @@ def render_graded(a: "GradedElement") -> str:
 
 
 class GradedElement(SparseSum):
-    """Finitely supported map GroupElement -> Scalar over a group."""
+    """Finitely supported map GroupElement -> Unit or Scalar over a group."""
 
     __slots__ = ()
     group = SparseSum.space  # the space under its name for elements
@@ -134,13 +146,13 @@ def twisted_product(F, a: GradedElement, b: GradedElement) -> GradedElement:
         for h, ch in b.terms.items():
             c = cg * ch
             if F is not None:
-                c = c * F.value(g, h)
+                c = F.value(g, h) * c
             out.append((grp.mul(g, h), c))
     return GradedElement(grp, out)
 
 
-def associator_defect(F: Cochain2, g, h, k) -> Scalar:
-    """Scalar s with g.(h.k) = s*((g.h).k); the coboundary 3-cocycle at (g,h,k)."""
+def associator_defect(F: Cochain2, g, h, k):
+    """The unit s with g.(h.k) = s*((g.h).k); the coboundary 3-cocycle at (g,h,k)."""
     return coboundary_phi(F).value(g, h, k)
 
 
@@ -180,7 +192,7 @@ def check_algebra_laws(F: Cochain2, law: str, domain="exhaustive") -> LawReport:
     """
     grp = F.group
     els, label = domain_elements(grp, domain)
-    e = lambda g: GradedElement.basis(grp, g)
+    e = {g: GradedElement.basis(grp, g) for g in els}.__getitem__  # built once
     if law == "braided_commutativity":
         R = braiding_R(F)
         for g in els:
@@ -204,12 +216,12 @@ def check_algebra_laws(F: Cochain2, law: str, domain="exhaustive") -> LawReport:
 
 def norm_square(a: GradedElement) -> Fraction:
     """Sum of squared coefficients; defined for rational coefficients only."""
-    total = Fraction(0)
+    total = Scalar.zero()
     for c in a.terms.values():
         if not c.is_rational():
             raise ValueError("norm_square needs rational coefficients")
-        total += c.payload * c.payload
-    return total
+        total = total + c * c
+    return Fraction(total.payload)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,18 @@ in int operations.  The representation is still unique per value, and since
 an integral Fraction compares and hashes equal to its int, equality,
 hashing and the text form are those of an all-Fraction representation.
 Division always goes through Fraction, so it stays exact.
+
+A Unit is a unit monomial c * zeta_n^a * q^b: c a nonzero coefficient (an
+int, or a Fraction only when needed), n >= 1, a mod n, b an integer.  Cochain
+values, characters, transport prefactors and pull coefficients are Units, so
+their products and inverses are additions of exponents.  Its form is
+canonical: for even n the sign is folded in (zeta_n^(n/2) = -1), so
+a < n/2; a = 0 means n = 1, the rational tag of a Scalar; a != 0 together
+with b != 0 raises RingMismatch, as a Scalar product of the two rings does.
+A Unit equals, hashes and prints like the equal Scalar.  Scalars form only
+where a sum does: + and - convert a Unit through `scalar()`, and
+`Unit.times(x)` scales a Scalar x by a rational factor, a Laurent shift or a
+power-basis rotation, without the general product.
 """
 
 from __future__ import annotations
@@ -228,9 +240,7 @@ class Scalar:
     @classmethod
     def root_of_unity(cls, N: int, k: int) -> "Scalar":
         """Canonical representative of zeta_N^k, shared between calls."""
-        if N < 1:
-            raise ValueError("N must be >= 1")
-        return _root_of_unity(N, k % N)
+        return Unit.root_of_unity(N, k).scalar()
 
     @classmethod
     def laurent(cls, terms) -> "Scalar":
@@ -249,6 +259,8 @@ class Scalar:
     def _coerce_operand(cls, x):
         if isinstance(x, Scalar):
             return x
+        if x.__class__ is Unit:
+            return x.scalar()
         if isinstance(x, (int, Fraction)):
             return cls.rational(x)
         return None
@@ -328,6 +340,8 @@ class Scalar:
     def __mul__(self, other):
         if other.__class__ is Scalar and other.tag == self.tag and other.n == self.n:
             tag, n, pa, pb = self.tag, self.n, self.payload, other.payload
+        elif other.__class__ is Unit:
+            return other.times(self)
         else:
             other = Scalar._coerce_operand(other)
             if other is None:
@@ -459,11 +473,166 @@ def _laurent_value(acc: dict) -> Scalar:
     return _make(LAURENT, 0, terms)
 
 
+# ---------------------------------------------------------------------------
+# unit monomials
+
+class Unit:
+    """Immutable unit monomial c * zeta_n^a * q^b in canonical form; see the
+    module docstring."""
+
+    __slots__ = ("c", "n", "a", "b")
+
+    def __new__(cls, c, n: int = 1, a: int = 0, b: int = 0):
+        c = _coef(c)
+        if not c or n < 1:
+            raise ValueError("a unit needs c != 0 and n >= 1")
+        return _unit(c, n, a % n, b)
+
+    def __setattr__(self, *_):
+        raise AttributeError("Unit is immutable")
+
+    def __reduce__(self):
+        return (Unit, (self.c, self.n, self.a, self.b))
+
+    @classmethod
+    def one(cls) -> "Unit":
+        return _UNIT_ONE
+
+    @classmethod
+    def root_of_unity(cls, N: int, k: int) -> "Unit":
+        """zeta_N^k, shared between calls."""
+        if N < 1:
+            raise ValueError("N must be >= 1")
+        return _root_unit(N, k % N)
+
+    @classmethod
+    def q_power(cls, k: int) -> "Unit":
+        return _unit(1, 1, 0, k)
+
+    @classmethod
+    def of(cls, x: Scalar):
+        """The Unit equal to the Scalar x, or None when x is not c*zeta^a*q^b."""
+        if x.tag == RATIONAL:
+            return _unit(x.payload, 1, 0, 0) if x.payload else None
+        if x.tag == LAURENT:
+            return _unit(x.payload[0][1], 1, 0, x.payload[0][0]) if len(x.payload) == 1 else None
+        for a in range(1, x.n):
+            y = _unit(1, x.n, x.n - a, 0).times(x)  # x * zeta^-a
+            if y.tag == RATIONAL:
+                return _unit(y.payload, x.n, a, 0)
+        return None
+
+    def scalar(self) -> Scalar:
+        """The equal Scalar."""
+        if self.n > 1:
+            return _cyc_unit_scalar(self.c, self.n, self.a)
+        if self.b:
+            return _make(LAURENT, 0, ((self.b, self.c),))
+        return _make(RATIONAL, 0, self.c)
+
+    def times(self, x: Scalar) -> Scalar:
+        """x * self for a Scalar x: a rational scaling, a Laurent exponent
+        shift or a power-basis rotation, never the general product."""
+        c, n, a, b = self.c, self.n, self.a, self.b
+        if x.tag == RATIONAL:
+            return _unit(_coef(c * x.payload), n, a, b).scalar() if x.payload else x
+        if x.tag == LAURENT and not a:
+            return _laurent_value({e + b: c * v for e, v in x.payload})
+        if x.tag == LAURENT or b or n not in (1, x.n):
+            raise RingMismatch(f"cannot combine {x.ring_name()} with {self.scalar().ring_name()}")
+        return _cyc_value(x.n, _cyc_reduce(x.n, [0] * a + [c * v for v in x.payload]))
+
+    def __mul__(self, other):
+        if other.__class__ is Unit:
+            n = self.n if other.n == 1 else other.n
+            if self.n not in (1, n):
+                raise RingMismatch(f"cannot combine Q(zeta_{self.n}) with Q(zeta_{n})")
+            c = self.c * other.c
+            return _unit(c if type(c) is int else _coef(c), n, (self.a + other.a) % n, self.b + other.b)
+        if other.__class__ is Scalar:
+            return self.times(other)
+        if isinstance(other, (int, Fraction)):
+            return _unit(_coef(self.c * other), self.n, self.a, self.b) if other else _ZERO
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "Unit":
+        c = self.c if self.c in (1, -1) else _div(1, self.c)
+        return _unit(c, self.n, -self.a % self.n, -self.b)
+
+    def __neg__(self):
+        return _unit(-self.c, self.n, self.a, self.b)
+
+    def __add__(self, other):
+        return self.scalar() + other
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self.scalar() - other
+
+    def __rsub__(self, other):
+        return other - self.scalar()
+
+    def is_zero(self) -> bool:
+        return False
+
+    def is_rational(self) -> bool:
+        return self.n == 1 and not self.b
+
+    def __eq__(self, other):
+        if other.__class__ is Unit:
+            return (self.c, self.n, self.a, self.b) == (other.c, other.n, other.a, other.b)
+        if isinstance(other, (int, Fraction)):
+            return self.is_rational() and self.c == other
+        return self.scalar() == other if isinstance(other, Scalar) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.scalar())
+
+    def render(self) -> str:
+        return self.scalar().render()
+
+    __str__ = render
+
+    def to_text(self) -> str:
+        return self.scalar().to_text()
+
+    def __repr__(self):
+        return f"Unit({self.render()!r})"
+
+
+_set_c, _set_un, _set_a, _set_b = (Unit.c.__set__, Unit.n.__set__, Unit.a.__set__, Unit.b.__set__)
+
+
+def _unit(c, n: int, a: int, b: int) -> Unit:
+    """The Unit c * zeta_n^a * q^b from a canonical c != 0 and 0 <= a < n,
+    in canonical form: the even-n sign folded, n = 1 when a = 0."""
+    if a and not n & 1 and 2 * a >= n:
+        a -= n >> 1
+        c = -c
+    if not a:
+        n = 1
+    elif b:
+        raise RingMismatch(f"cannot combine Q(zeta_{n}) with Q[q,q^-1]")
+    u = _new(Unit)
+    _set_c(u, c)
+    _set_un(u, n)
+    _set_a(u, a)
+    _set_b(u, b)
+    return u
+
+
+_UNIT_ONE = _unit(1, 1, 0, 0)
+_root_unit = lru_cache(maxsize=4096)(lambda N, k: _unit(1, N, k, 0))
+
+
 @lru_cache(maxsize=4096)
-def _root_of_unity(N: int, k: int) -> Scalar:
-    # Scalars are immutable, so every caller may hold the same instance;
-    # cochain memos then keep one payload per root instead of one per entry
-    return Scalar.cyclotomic(N, [0] * k + [1])
+def _cyc_unit_scalar(c, n: int, a: int) -> Scalar:
+    # bounded, and shared: Scalar.root_of_unity and every Unit that meets a
+    # sum hand out one immutable instance per (c, n, a)
+    return Scalar.cyclotomic(n, [0] * a + [c])
 
 
 def _render_terms(terms) -> str:

@@ -6,6 +6,9 @@ prefactor
     P(g0..gk) = F(g0,g1) F(g0g1,g2) ... F(g0...g_{k-1},gk)
 
 and the twisted cyclic operators are the conjugates X^F = P X P^{-1}.
+TransportPrefactor.value returns P as a `scalars.Unit` when F's values are
+Units, so a conjugated coefficient is a sum of exponents and P^{-1} is the
+negated exponents.
 Conjugation is the normative definition: the conjugated module satisfies
 every cocyclic identity automatically, so identity checks on it exercise
 the transport code, not the algebra.  The group-like specializations of
@@ -35,24 +38,23 @@ from .cyclic import (
     sample_tuples,
 )
 from .groups import GroupSpec, InfiniteGroup, SpecMismatch
-from .scalars import Scalar
+from .scalars import Unit
 
 
 class TransportPrefactor:
     """Memoized evaluator of the left-to-right transport prefactor."""
 
-    __slots__ = ("F", "_memo", "_inv_memo")
+    __slots__ = ("F", "_memo")
 
     def __init__(self, F: Cochain2):
         self.F = F
         self._memo = {}
-        self._inv_memo = {}
 
-    def value(self, gs: tuple) -> Scalar:
+    def value(self, gs: tuple):
         out = self._memo.get(gs)
         if out is None:
             grp = self.F.group
-            acc = Scalar.one()
+            acc = Unit.one()
             prefix = gs[0]
             for g in gs[1:]:
                 acc = acc * self.F.value(prefix, g)
@@ -60,11 +62,9 @@ class TransportPrefactor:
             out = self._memo[gs] = acc
         return out
 
-    def inverse_value(self, gs: tuple) -> Scalar:
-        out = self._inv_memo.get(gs)
-        if out is None:
-            out = self._inv_memo[gs] = self.value(gs).inverse()
-        return out
+    def inverse_value(self, gs: tuple):
+        # the memo first, so value() runs only on a miss
+        return (self._memo.get(gs) or self.value(gs)).inverse()
 
 
 def transport(phi: CyclicCochain, F: Cochain2) -> CyclicCochain:
@@ -129,7 +129,7 @@ def apply_lambda_twisted(phi: CyclicCochain, F: Cochain2) -> CyclicCochain:
 # ---------------------------------------------------------------------------
 # direct group-like evaluators (secondary; reported, never asserted)
 
-def direct_face_factor(F: Cochain2, chi, k: int, i: int, t: tuple) -> Scalar:
+def direct_face_factor(F: Cochain2, chi, k: int, i: int, t: tuple):
     """Scalar factor of the direct twisted face d_i^F at output tuple t.
 
     Inner faces pick up the twisted product factor F(g_i, g_{i+1}); the top
@@ -152,7 +152,7 @@ def direct_face_factor(F: Cochain2, chi, k: int, i: int, t: tuple) -> Scalar:
     )
 
 
-def direct_lambda_factor(F: Cochain2, chi, k: int, t: tuple) -> Scalar:
+def direct_lambda_factor(F: Cochain2, chi, k: int, t: tuple):
     grp = F.group
     R = braiding_R(F)
     c = R.value(t[k], grp.mul_all(t[:k])) * grp.char_eval(chi, t[k])
