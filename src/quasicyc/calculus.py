@@ -119,7 +119,7 @@ class Form(SparseSum):
 
     __slots__ = ()
     spec = SparseSum.space  # the space under its name for forms
-    _key = "form_key"
+    _key = CalculusSpec.form_key.__name__
     _mismatch = "forms live over different calculi"
     _render = render_form
 

@@ -17,7 +17,11 @@ composing pullbacks adds exponents.  Operator identities
 are checked pointwise on those pullbacks, which is equivalent to checking
 them against every cochain and much cheaper.  Operators act on vectors
 only as sparse rows from atom_rows, streamed once or stored for reuse, and
-applied by the one applier apply_rows.
+applied by the one applier apply_rows.  compose_rows multiplies two row
+sets into the rows of the composite, so an operator identity on a finite
+group is decided exactly, for every cochain, by comparing composites:
+mixed_complex_report decides the mixed-complex laws that way, and
+twist.verify_transport the intertwining b^F T = T b.
 
 The extra degeneracy is s_{-1} = (-1)^n s_0 lambda^{-1} and the
 mixed-complex operators are
@@ -165,14 +169,6 @@ class CyclicCochain:
     def basis(cls, group, chi, degree, idx: int) -> "CyclicCochain":
         vec = [Scalar.zero()] * space_dim(group, degree)
         vec[idx] = Scalar.one()
-        return cls(group, chi, degree, vec)
-
-    @classmethod
-    def random(cls, group, chi, degree, rng) -> "CyclicCochain":
-        vec = [
-            Scalar.rational(rng.randint(-3, 3))
-            for _ in range(space_dim(group, degree))
-        ]
         return cls(group, chi, degree, vec)
 
     def value(self, gs) -> Scalar:
@@ -471,6 +467,57 @@ def atom_rows(group, atoms, out_degree):
         yield row
 
 
+def _pairs(row):
+    return row.items() if isinstance(row, dict) else row
+
+
+def _row_sum(pairs) -> dict:
+    """{col: coeff} of (col, coeff) pairs, like columns added, zeros dropped."""
+    acc = {}
+    for col, c in pairs:
+        prev = acc.get(col)
+        acc[col] = c if prev is None else prev + c
+    return {col: c for col, c in acc.items() if c}
+
+
+def compose_rows(outer, inner) -> list[dict]:
+    """Rows {col: coeff} of the composite "outer after inner": outer's
+    columns index inner's rows.  Rows are (col, coeff) pairs, as atom_rows
+    yields them, or such dicts; sums that cancel are dropped, so a zero
+    composite has only empty rows."""
+    inner = [list(_pairs(row)) for row in inner]
+    return [
+        _row_sum(
+            (col, d if c == 1 else -d if c == -1 else c * d)
+            for j, c in _pairs(row)
+            for col, d in inner[j]
+        )
+        for row in outer
+    ]
+
+
+def _tuple_at(group, degree: int, idx: int) -> tuple:
+    return next(itertools.islice(full_tuples(group, degree), idx, None))
+
+
+def row_counterexample(group, in_degree, out_degree, rows, other=None):
+    """None when the operators C^in_degree -> C^out_degree with these rows
+    are equal (other=None: the zero operator), else "degree k output ...
+    input ..." naming the support tuples of the first coefficient of
+    rows - other that did not cancel."""
+    for i, row in enumerate(rows):
+        pairs = list(_pairs(row))
+        if other is not None:
+            pairs += [(col, -c) for col, c in _pairs(other[i])]
+        diff = _row_sum(pairs)
+        if diff:
+            return (
+                f"degree {in_degree} output {_tuple_at(group, out_degree, i)!r} "
+                f"input {_tuple_at(group, in_degree, min(diff))!r}"
+            )
+    return None
+
+
 def apply_rows(rows, vec, zero):
     """Apply sparse rows to a vector of ints or Scalars; each output entry
     starts from zero.  Under +-1 rows an int vector stays an int vector."""
@@ -524,47 +571,37 @@ def mixed_complex_report(
     group: GroupSpec, chi, degree_max: int, count: int = 50, seed: int = 0
 ) -> list[LawReport]:
     """b^2 = 0, B^2 = 0, bB + Bb = 0, lambda^(k+1) = id, N(lambda - id) = 0
-    on seeded random integer cochains.  The vectors start as plain ints and
-    stay ints under +-1 rows (trivial and sign characters); a cyclotomic
-    coefficient turns the entries it touches into Scalars.
+    on C^k for k <= degree_max, decided exactly: each side is the composite
+    of the stored operator rows, so a pass holds for every cochain.  A
+    failure names the degree and the output and input support tuples of a
+    coefficient that did not cancel.  count and seed are not read; they
+    remain so that callers passing them still work.
     """
     chi = group.check_weight(chi)
-    ops = OperatorCache(group, chi)
-    rng = random.Random(seed)
-    domain = f"{count} random cochains per degree <= {degree_max}"
+    rows = OperatorCache(group, chi).rows
+    domain = f"exact: every cochain, degrees <= {degree_max}"
     fails = {}
 
-    def run(op, k, vec):
-        return apply_rows(ops.rows(op, k), vec, 0)
+    def check(law, k, out_degree, lhs, rhs=None):
+        if law not in fails:
+            bad = row_counterexample(group, k, out_degree, lhs, rhs)
+            if bad is not None:
+                fails[law] = bad
 
     for k in range(degree_max + 1):
-        for trial in range(count):
-            vec = [rng.randint(-3, 3) for _ in range(space_dim(group, k))]
-            tag = f"degree {k} trial {trial}"
-            if any(run("b", k + 1, run("b", k, vec))):
-                fails.setdefault("b_squared", tag)
-            lam = vec
-            for _ in range(k + 1):
-                lam = run("lambda", k, lam)
-            if lam != vec:
-                fails.setdefault("lambda_order", tag)
-            n_lam = run("N", k, run("lambda", k, vec))
-            n_vec = run("N", k, vec)
-            if n_lam != n_vec:
-                fails.setdefault("N_lambda", tag)
-            if k >= 1:
-                anti = [
-                    a + b
-                    for a, b in zip(
-                        run("b", k - 1, run("B", k, vec)),
-                        run("B", k + 1, run("b", k, vec)),
-                    )
-                ]
-                if any(anti):
-                    fails.setdefault("bB_plus_Bb", tag)
-            if k >= 2:
-                if any(run("B", k - 1, run("B", k, vec))):
-                    fails.setdefault("B_squared", tag)
+        check("b_squared", k, k + 2, compose_rows(rows("b", k + 1), rows("b", k)))
+        lam = rows("lambda", k)
+        power = lam
+        for _ in range(k):
+            power = compose_rows(lam, power)
+        check("lambda_order", k, k, power, [[(i, 1)] for i in range(len(lam))])
+        check("N_lambda", k, k, compose_rows(rows("N", k), lam), rows("N", k))
+        if k >= 1:
+            bB = compose_rows(rows("b", k - 1), rows("B", k))
+            Bb = compose_rows(rows("B", k + 1), rows("b", k))
+            check("bB_plus_Bb", k, k, bB, [{c: -v for c, v in r.items()} for r in Bb])
+        if k >= 2:
+            check("B_squared", k, k - 2, compose_rows(rows("B", k - 1), rows("B", k)))
 
     return [
         LawReport(law, domain, law not in fails, fails.get(law))

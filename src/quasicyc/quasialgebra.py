@@ -122,17 +122,13 @@ class GradedElement(SparseSum):
 
     __slots__ = ()
     group = SparseSum.space  # the space under its name for elements
-    _key = "reduce"
+    _key = GroupSpec.reduce.__name__
     _mismatch = "elements live over different group specs"
     _render = render_graded
 
     @classmethod
     def basis(cls, group: GroupSpec, g, coeff=1) -> "GradedElement":
         return cls(group, [(g, coeff)])
-
-    @classmethod
-    def unit(cls, group: GroupSpec) -> "GradedElement":
-        return cls.basis(group, group.identity())
 
 
 def twisted_product(F, a: GradedElement, b: GradedElement) -> GradedElement:
@@ -148,7 +144,8 @@ def twisted_product(F, a: GradedElement, b: GradedElement) -> GradedElement:
             if F is not None:
                 c = F.value(g, h) * c
             out.append((grp.mul(g, h), c))
-    return GradedElement(grp, out)
+    # GroupSpec.mul returns reduced elements, so the keys are canonical
+    return GradedElement._keyed(grp, out)
 
 
 def associator_defect(F: Cochain2, g, h, k):
@@ -158,7 +155,7 @@ def associator_defect(F: Cochain2, g, h, k):
 
 def ribbon_apply(group: GroupSpec, weight, a: GradedElement) -> GradedElement:
     """sigma(g) = chi(g) g extended linearly; weight is chi's weight vector."""
-    return GradedElement(
+    return GradedElement._keyed(
         group, [(g, group.char_eval(weight, g) * c) for g, c in a.terms.items()]
     )
 

@@ -88,7 +88,7 @@ def det3(g, h, k):
 def test_01_octonion_basis_relations_and_associator():
     with budget(1):
         u, v, w = basis(U), basis(V), basis(W)
-        minus_e = -GradedElement.unit(E3)
+        minus_e = -GradedElement.basis(E3, E3.identity())
         assert dot(u, u) == minus_e
         assert dot(v, v) == minus_e
         assert dot(w, w) == minus_e
@@ -254,7 +254,7 @@ def test_09_torus_relations_and_closed_forms():
             for j in range(-3, 4):
                 iu = (1, 0) if i >= 0 else (-1, 0)
                 jv = (0, 1) if j >= 0 else (0, -1)
-                acc = GradedElement.unit(grp)
+                acc = GradedElement.basis(grp, grp.identity())
                 for _ in range(abs(i)):
                     acc = twisted_product(TOR_F, acc, GradedElement.basis(grp, iu))
                 for _ in range(abs(j)):

@@ -177,3 +177,43 @@ def test_cd_conj_is_involution():
     rng = random.Random(3)
     x = [Fraction(rng.randint(-3, 3)) for _ in range(8)]
     assert cayley_dickson_conj(cayley_dickson_conj(x)) == x
+
+
+def _reducing_twisted_product(F, a, b):
+    """The product as built before: every key through GroupSpec.reduce."""
+    out = []
+    for g, cg in a.terms.items():
+        for h, ch in b.terms.items():
+            c = cg * ch
+            if F is not None:
+                c = F.value(g, h) * c
+            out.append((a.group.mul(g, h), c))
+    return GradedElement(a.group, out)
+
+
+@pytest.mark.parametrize("group, base, expr", [
+    (GroupSpec((2, 3)), ("root_of_unity", 6), "i1*j2 + 2*i2*j2"),
+    (GroupSpec((), 2), ("laurent",), "i1*j2 - i2*j1"),
+    (GroupSpec((4,), 1), ("root_of_unity", 4), "i1*j2 + i2*j1"),
+])
+def test_products_keyed_equal_reducing_constructor(group, base, expr):
+    from quasicyc.cochains import Cochain2
+
+    F = Cochain2.from_expr(group, base, expr)
+    weight = (1,) * group.torsion_rank
+    els = group.window_elements(2)
+    rng = random.Random(f"keyed-{group}")
+
+    def element():
+        return GradedElement(group, [(rng.choice(els), rng.randint(-2, 2)) for _ in range(4)])
+
+    for _ in range(25):
+        a, b = element(), element()
+        for twist in (F, None):
+            got = twisted_product(twist, a, b)
+            assert got == _reducing_twisted_product(twist, a, b)
+            assert all(group.reduce(g) == g for g in got.terms)
+        sigma = ribbon_apply(group, weight, a)
+        assert sigma == GradedElement(
+            group, [(g, group.char_eval(weight, g) * c) for g, c in a.terms.items()]
+        )

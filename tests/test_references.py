@@ -2,12 +2,14 @@
 src/quasicyc is referenced somewhere in src/ or perfbench/; a definition
 that only tests reach must be one of the paper's oracles listed below.
 
-A reference is a name, an attribute, an imported name or a string that is
-an identifier (perfbench resolves what it traces with getattr), anywhere
-outside the definition's own body.  Names are matched as names, not
-resolved: a method shares its references with every attribute of the
-same name, so the scan finds code that nothing reaches by name, not every
-method that is dead.
+A reference is a name that is not one of its module's variables, an
+attribute that is read, not assigned, or an imported name, anywhere
+outside the definition's own body.  A string that is an identifier counts
+only in GETATTR_FILES, the files that resolve names with getattr
+(perfbench traces what it names that way), and not as a dict key.  Names are
+matched as names, not resolved: a method shares its references with every
+attribute of the same name, so the scan finds code that nothing reaches by
+name, not every method that is dead.
 """
 
 import ast
@@ -16,6 +18,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src", "tests", "perfbench")
+GETATTR_FILES = ("perfbench/tracing.py",)
 
 # library code that only tests call, kept as an independent statement of
 # the paper's definitions
@@ -28,19 +31,32 @@ PAPER_ORACLES = {
 }
 
 
-def _references(tree):
-    """(name, line) of every reference in a module."""
-    for node in ast.walk(tree):
+def _references(tree, strings: bool):
+    """(name, line) of every reference in a module.  A name the module binds
+    as a variable (assignment or loop target, parameter) is that variable
+    wherever it is read; identifier strings count only when `strings` is
+    set, and never as dict keys."""
+    nodes = list(ast.walk(tree))
+    variables = {
+        node.id for node in nodes
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    } | {node.arg for node in nodes if isinstance(node, ast.arg)}
+    keys = {id(k) for node in nodes if isinstance(node, ast.Dict) for k in node.keys}
+    for node in nodes:
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            if node.id not in variables:
+                yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            if not isinstance(node.ctx, ast.Store):
+                yield node.attr, node.lineno
         elif isinstance(node, ast.alias):
             yield node.name.rsplit(".", 1)[-1], node.lineno
         elif (
-            isinstance(node, ast.Constant)
+            strings
+            and isinstance(node, ast.Constant)
             and isinstance(node.value, str)
             and node.value.isidentifier()
+            and id(node) not in keys
         ):
             yield node.value, node.lineno
 
@@ -60,12 +76,12 @@ def _definitions(tree):
                     yield item.name, item.lineno, item.end_lineno
 
 
-def unreferenced(defined: dict, scanned: dict) -> list[str]:
+def unreferenced(defined: dict, scanned: dict, getattr_files=GETATTR_FILES) -> list[str]:
     """'path:line name' of each definition in the `defined` sources that no
     `scanned` source references outside the definition's own lines."""
     refs = defaultdict(list)
     for path, src in scanned.items():
-        for name, line in _references(ast.parse(src)):
+        for name, line in _references(ast.parse(src), path in getattr_files):
             refs[name].append((path, line))
     out = []
     for path, src in defined.items():
@@ -91,9 +107,34 @@ def test_scanner_flags_unreferenced_and_accepts_referenced():
         "lib.Holder().method()\n"
         "getattr(lib.Holder, 'by_getattr')\n"
     )
-    assert unreferenced({"lib.py": lib}, {"lib.py": lib, "user.py": user}) == [
+    scanned = {"lib.py": lib, "user.py": user}
+    assert unreferenced({"lib.py": lib}, scanned, getattr_files=("user.py",)) == [
         "lib.py:2 recursive",
         "lib.py:7 dead",
+    ]
+    # outside the getattr files a string names nothing
+    assert "lib.py:6 by_getattr" in unreferenced({"lib.py": lib}, scanned, getattr_files=())
+
+
+def test_scanner_ignores_assigned_names_and_dict_keys():
+    lib = (
+        "class Element:\n"
+        "    def unit(self): pass\n"
+        "    def scale(self): pass\n"
+        "    def shift(self): pass\n"
+    )
+    user = (
+        "unit = 1\n"
+        "for scale in range(3): pass\n"
+        "row = {'unit': unit, 'shift': scale}\n"
+        "row.shift = 2\n"
+        "Element()\n"
+    )
+    scanned = {"lib.py": lib, "user.py": user}
+    assert unreferenced({"lib.py": lib}, scanned, getattr_files=("user.py",)) == [
+        "lib.py:2 unit",
+        "lib.py:3 scale",
+        "lib.py:4 shift",
     ]
 
 
