@@ -583,10 +583,9 @@ def mixed_complex_report(
     fails = {}
 
     def check(law, k, out_degree, lhs, rhs=None):
-        if law not in fails:
-            bad = row_counterexample(group, k, out_degree, lhs, rhs)
-            if bad is not None:
-                fails[law] = bad
+        bad = row_counterexample(group, k, out_degree, lhs, rhs)
+        if bad is not None:
+            fails.setdefault(law, bad)
 
     for k in range(degree_max + 1):
         check("b_squared", k, k + 2, compose_rows(rows("b", k + 1), rows("b", k)))

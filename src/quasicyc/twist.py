@@ -166,11 +166,6 @@ def _timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(epoch))
 
 
-def _diagonal(pref: TransportPrefactor, group: GroupSpec, degree: int) -> list:
-    """Rows of transport on C^degree: the prefactor on the diagonal."""
-    return [[(i, pref.value(t))] for i, t in enumerate(full_tuples(group, degree))]
-
-
 def verify_transport(
     F: Cochain2,
     chi,
@@ -188,7 +183,7 @@ def verify_transport(
     (b) transport intertwines the untwisted and conjugated coboundaries:
         b^F T = T b on C^k for every k <= degree_max, decided exactly on a
         finite group by composing operator rows with the diagonal rows of
-        T, so a pass holds for every cochain; skipped on infinite groups,
+        T, so a pass holds for every cochain; skipped on infinite groups;
     (c) the twisted-calculus character equals transport of the untwisted one,
     (d) direct group-like evaluators vs conjugated operators, informational.
     Finite groups run exhaustively; infinite ones need a window bound.
@@ -225,15 +220,16 @@ def verify_transport(
     if finite:
         _check_same_group(F, group)
         bad = None
-        T = _diagonal(pref, group, 0)
+        T = [
+            [[(i, pref.value(t))] for i, t in enumerate(full_tuples(group, k))]
+            for k in range(degree_max + 2)
+        ]
         for k in range(degree_max + 1):
-            T_next = _diagonal(pref, group, k + 1)
-            lhs = compose_rows(atom_rows(group, b_atoms(group, chi, k, wrap), k + 1), T)
-            rhs = compose_rows(T_next, atom_rows(group, b_atoms(group, chi, k), k + 1))
+            lhs = compose_rows(atom_rows(group, b_atoms(group, chi, k, wrap), k + 1), T[k])
+            rhs = compose_rows(T[k + 1], atom_rows(group, b_atoms(group, chi, k), k + 1))
             bad = row_counterexample(group, k, k + 1, lhs, rhs)
             if bad is not None:
                 break
-            T = T_next
         add("transport_intertwines_b", "pass" if bad is None else "fail", bad)
     else:
         add("transport_intertwines_b", "skipped: needs a finite group")
