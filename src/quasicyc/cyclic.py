@@ -31,9 +31,10 @@ mixed-complex operators are
     S = (-1/(n(n+1))) sum_{1<=i<=j<=n} (-1)^{i+j} d_{i-1} d_{j-1},
         n = input degree + 1
 
-The relative sign inside B is forced: with these face, degeneracy and
-cyclic conventions, the minus is the only choice (up to an overall sign
-of B) under which B^2 = 0 and bB + Bb = 0 both hold; a plus breaks B^2.
+B^2 = 0 forces the relative sign inside B (bB + Bb = 0 holds with either):
+a plus breaks B^2 from degree 3 on Z3, Z4 and on Z2 or Z2^2 with nontrivial
+chi, but only from degree 4 on Z2 with trivial chi, and not through degree
+3 on Z2^2 with trivial chi, so a low-degree report may not tell them apart.
 b, B and N are validated through those identities and N(lambda - id) = 0
 rather than through any chain-level picture.
 """
@@ -69,15 +70,26 @@ def _pos(group: GroupSpec) -> dict:
 
 
 class _LazyChi:
-    """Character values on a group with a free part, computed per lookup."""
+    """Character values on a group with a free part, in one table keyed by
+    the torsion coordinates, all that chi reads (one entry on Z^s);
+    char_eval serves input the table does not key, such as unreduced."""
 
-    __slots__ = ("_group", "_weight")
+    __slots__ = ("_group", "_weight", "_ntor", "_table")
 
     def __init__(self, group, weight):
-        self._group = group
-        self._weight = weight
+        self._group, self._weight, self._ntor = group, weight, group.torsion_rank
+        free = (0,) * group.free_rank
+        self._table = {
+            tor: group.char_eval(weight, tor + free)
+            for tor in itertools.product(*(range(m) for m in group.cyclic_orders))
+        }
 
     def __getitem__(self, g):
+        try:
+            if len(g) == self._group.rank:
+                return self._table[g[:self._ntor]]
+        except (KeyError, TypeError):
+            pass
         return self._group.char_eval(self._weight, g)
 
 
@@ -93,8 +105,8 @@ class _LazyMul:
         return self._group.mul(*key)
 
 
-# Finite groups get eager dicts; on a group with a free part the lazy
-# objects store nothing, so these process-wide caches stay bounded.
+# Finite groups get eager dicts; on a group with a free part the lazy objects
+# hold at most the torsion order, so these process-wide caches stay bounded.
 @lru_cache(maxsize=None)
 def _chi_table(group: GroupSpec, weight: tuple):
     if group.free_rank:

@@ -165,17 +165,14 @@ def check_ribbon_axiom(F: Cochain2, weight, domain="exhaustive") -> LawReport:
     grp = F.group
     els, label = domain_elements(grp, domain)
     R = braiding_R(F)
+    # each basis element and its sigma-image built once per check
+    e = {g: GradedElement.basis(grp, g) for g in els}
+    s = {g: ribbon_apply(grp, weight, x) for g, x in e.items()}
     for g in els:
+        eg, sg = e[g], s[g]
         for h in els:
-            lhs = ribbon_apply(grp, weight, twisted_product(
-                F, GradedElement.basis(grp, g), GradedElement.basis(grp, h)
-            ))
-            factor = R.value(h, g) * R.value(g, h)
-            rhs = factor * twisted_product(
-                F,
-                ribbon_apply(grp, weight, GradedElement.basis(grp, g)),
-                ribbon_apply(grp, weight, GradedElement.basis(grp, h)),
-            )
+            lhs = ribbon_apply(grp, weight, twisted_product(F, eg, e[h]))
+            rhs = R.value(h, g) * R.value(g, h) * twisted_product(F, sg, s[h])
             if lhs != rhs:
                 return LawReport("ribbon_axiom", label, False, (g, h))
     return LawReport("ribbon_axiom", label, True)
@@ -189,26 +186,28 @@ def check_algebra_laws(F: Cochain2, law: str, domain="exhaustive") -> LawReport:
     """
     grp = F.group
     els, label = domain_elements(grp, domain)
-    e = {g: GradedElement.basis(grp, g) for g in els}.__getitem__  # built once
+    if law not in ("braided_commutativity", "quasi_associativity"):
+        raise ValueError(f"unknown law {law!r}")
+    e = {g: GradedElement.basis(grp, g) for g in els}
+    # every product of two basis elements, built once per check
+    prod = {(g, h): twisted_product(F, e[g], e[h]) for g in els for h in els}
     if law == "braided_commutativity":
         R = braiding_R(F)
         for g in els:
             for h in els:
-                lhs = twisted_product(F, e(g), e(h))
-                if lhs != R.value(h, g) * twisted_product(F, e(h), e(g)):
+                if prod[g, h] != R.value(h, g) * prod[h, g]:
                     return LawReport(law, label, False, (g, h))
         return LawReport(law, label, True)
-    if law == "quasi_associativity":
-        phi = coboundary_phi(F)
-        for g in els:
-            for h in els:
-                gh = twisted_product(F, e(g), e(h))
-                for k in els:
-                    lhs = twisted_product(F, e(g), twisted_product(F, e(h), e(k)))
-                    if lhs != phi.value(g, h, k) * twisted_product(F, gh, e(k)):
-                        return LawReport(law, label, False, (g, h, k))
-        return LawReport(law, label, True)
-    raise ValueError(f"unknown law {law!r}")
+    phi = coboundary_phi(F)
+    for g in els:
+        eg = e[g]
+        for h in els:
+            gh = prod[g, h]
+            for k in els:
+                lhs = twisted_product(F, eg, prod[h, k])
+                if lhs != phi.value(g, h, k) * twisted_product(F, gh, e[k]):
+                    return LawReport(law, label, False, (g, h, k))
+    return LawReport(law, label, True)
 
 
 def norm_square(a: GradedElement) -> Fraction:

@@ -126,34 +126,45 @@ def apply_lambda_twisted(phi: CyclicCochain, F: Cochain2) -> CyclicCochain:
 # ---------------------------------------------------------------------------
 # direct group-like evaluators (secondary; reported, never asserted)
 
-def direct_face_factor(F: Cochain2, chi, k: int, i: int, t: tuple):
-    """Scalar factor of the direct twisted face d_i^F at output tuple t.
+def direct_face_factor(F: Cochain2, chi):
+    """(k, i, t) -> factor of the direct twisted face d_i^F at the degree-k
+    output tuple t, from one R_F and phi_F per factory.
 
     Inner faces pick up the twisted product factor F(g_i, g_{i+1}); the top
     face braids the last leg across the rest and multiplies by the ribbon
     character and the twisted product factor.
     """
     grp = F.group
-    if i <= k:
-        return F.value(t[i], t[i + 1])
     R = braiding_R(F)
     phi3 = coboundary_phi(F)
-    head = t[0]
-    body = grp.mul_all(t[1:k + 1])
-    last = t[k + 1]
-    return (
-        R.value(last, grp.mul(head, body))
-        * phi3.value(last, head, body)
-        * grp.char_eval(chi, last)
-        * F.value(last, head)
-    )
+
+    def factor(k: int, i: int, t: tuple):
+        if i <= k:
+            return F.value(t[i], t[i + 1])
+        head = t[0]
+        body = grp.mul_all(t[1:k + 1])
+        last = t[k + 1]
+        return (
+            R.value(last, grp.mul(head, body))
+            * phi3.value(last, head, body)
+            * grp.char_eval(chi, last)
+            * F.value(last, head)
+        )
+
+    return factor
 
 
-def direct_lambda_factor(F: Cochain2, chi, k: int, t: tuple):
+def direct_lambda_factor(F: Cochain2, chi):
+    """(k, t) -> factor of the direct twisted cyclic operator at the degree-k
+    tuple t, from one R_F per factory."""
     grp = F.group
     R = braiding_R(F)
-    c = R.value(t[k], grp.mul_all(t[:k])) * grp.char_eval(chi, t[k])
-    return -c if k % 2 else c
+
+    def factor(k: int, t: tuple):
+        c = R.value(t[k], grp.mul_all(t[:k])) * grp.char_eval(chi, t[k])
+        return -c if k % 2 else c
+
+    return factor
 
 
 # ---------------------------------------------------------------------------
@@ -249,32 +260,21 @@ def verify_transport(
         add("character_transport", "pass" if bad is None else "fail", bad)
 
     # (d) informational: direct group-like evaluators vs conjugation
+    face_at, lambda_at = direct_face_factor(F, chi), direct_lambda_factor(F, chi)
     for k in range(degree_max + 1):
-        disagree = None
         faces = [wrap(face_pull(group, chi, k, i)) for i in range(k + 2)]
-        for t in sample_tuples(group, k + 1, window, samples, seed):
-            for i, face in enumerate(faces):
-                if direct_face_factor(F, chi, k, i, t) != face(t)[1]:
-                    disagree = f"face {i} at {t!r}"
-                    break
-            if disagree:
-                break
-        add(
-            f"direct_faces_degree_{k}",
-            "agree" if disagree is None else "disagree",
-            disagree,
-        )
-        disagree = None
+        bad = next((
+            f"face {i} at {t!r}"
+            for t in sample_tuples(group, k + 1, window, samples, seed)
+            for i, face in enumerate(faces) if face_at(k, i, t) != face(t)[1]
+        ), None)
+        add(f"direct_faces_degree_{k}", "agree" if bad is None else "disagree", bad)
         lam = wrap(lambda_pull(group, chi, k))
-        for t in sample_tuples(group, k, window, samples, seed):
-            if direct_lambda_factor(F, chi, k, t) != lam(t)[1]:
-                disagree = repr(t)
-                break
-        add(
-            f"direct_lambda_degree_{k}",
-            "agree" if disagree is None else "disagree",
-            disagree,
-        )
+        bad = next((
+            repr(t) for t in sample_tuples(group, k, window, samples, seed)
+            if lambda_at(k, t) != lam(t)[1]
+        ), None)
+        add(f"direct_lambda_degree_{k}", "agree" if bad is None else "disagree", bad)
 
     return {
         "preset": preset,
