@@ -56,7 +56,13 @@ class IndexOutOfRange(ValueError):
 
 
 class DegreeTooLow(ValueError):
-    """Operator needs a positive-degree cochain."""
+    """Operator needs a positive-degree cochain, or a report a degree_max
+    >= 0: below degree 0 it would pass over zero cases."""
+
+
+def _check_degree_max(degree_max: int) -> None:
+    if degree_max < 0:
+        raise DegreeTooLow(f"degree_max must be >= 0, got {degree_max}")
 
 
 @lru_cache(maxsize=None)
@@ -589,6 +595,7 @@ def mixed_complex_report(
     coefficient that did not cancel.  count and seed are not read; they
     remain so that callers passing them still work.
     """
+    _check_degree_max(degree_max)
     chi = group.check_weight(chi)
     rows = OperatorCache(group, chi).rows
     domain = f"exact: every cochain, degrees <= {degree_max}"
@@ -621,18 +628,15 @@ def mixed_complex_report(
 
 
 def _dense(rows, dim):
+    """Dense rows for rank_kernel: +-1 become Units, a repeated column sums."""
     zero = Scalar.zero()
-    one = Scalar.one()
-    minus_one = Scalar.rational(-1)
+    units = {1: Unit.one(), -1: Unit(-1)}
     out = []
     for row in rows:
         dense = [zero] * dim
         for col, c in row:
-            if c == 1:
-                c = one
-            elif c == -1:
-                c = minus_one
-            dense[col] = dense[col] + c
+            c = units[c] if c.__class__ is int else c
+            dense[col] = c if dense[col] is zero else dense[col] + c
         out.append(dense)
     return out
 
@@ -655,6 +659,7 @@ def periodicity_report(
 ) -> list[LawReport]:
     """S maps lambda-invariant b-cocycles to lambda-invariant b-cocycles,
     checked on a kernel basis per degree."""
+    _check_degree_max(degree_max)
     chi = group.check_weight(chi)
     domain = f"cocycle bases, degrees <= {degree_max}"
     for m in range(degree_max + 1):
@@ -735,6 +740,7 @@ def identity_suite(
     group, the identity tuple plus `samples` seeded tuples from the window
     on an infinite one.
     """
+    _check_degree_max(degree_max)
     chi = group.check_weight(chi)
     W = wrap if wrap is not None else (lambda pull: pull)
     if group.free_rank and window is None:
@@ -875,6 +881,7 @@ def cohomology_dims(
     """
     if which not in ("hh", "hc"):
         raise ValueError(f"unknown cohomology kind {which!r}")
+    _check_degree_max(degree_max)
     if group.free_rank:
         raise InfiniteGroup("cohomology dimensions need a finite group")
     chi = group.check_weight(chi)

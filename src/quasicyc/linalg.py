@@ -1,22 +1,27 @@
 """Exact linear algebra over field scalars (rational or cyclotomic).
 
-rank_kernel runs sparse Gauss-Jordan elimination: rows are {col: value}
-dicts, columns are taken in order, the pivot of a column is the first
-remaining row that holds it, and only rows holding the pivot column are
-touched.  Each pivot costs one field inverse; every other step is a
-multiply-subtract, and zeros are never stored.
+rank_kernel takes Scalar and `scalars.Unit` entries and runs one sparse
+forward elimination: rows are {col: value} dicts, columns are taken in
+order, and zeros are never stored.  The pivot of a column is a remaining
+row whose entry there is a Unit, the one with the fewest entries; only when
+no row has a Unit there is it the shortest row that holds the column.  A
+Unit's inverse negates its exponent, so the arithmetic of unit-monomial rows
+stays integral, and a Scalar forms only where a sum does.  The pivot row is
+scaled to a leading 1 and cleared from the remaining rows, never from earlier
+pivot rows; each kernel vector is then found by back-substitution from its
+free column.
 
-The output does not depend on the elimination scheme.  The pivot columns
-are the lexicographically first set of independent columns, which any
-exact column-ordered elimination finds, and the kernel vector with a 1 in
-free column f and 0 in every other free column is unique, so it is the
+The output does not depend on which row is taken as pivot.  The pivot
+columns are the lexicographically first set of independent columns, which
+any exact column-ordered elimination finds, and the kernel vector with a 1
+in free column f and 0 in every other free column is unique, so it is the
 one read off the reduced row echelon form.  Arithmetic is exact, so the
 result is bit-for-bit deterministic for a given matrix.
 """
 
 from __future__ import annotations
 
-from .scalars import CYCLOTOMIC, LAURENT, RingMismatch, Scalar
+from .scalars import LAURENT, RingMismatch, Scalar, Unit
 
 
 class LaurentScalars(TypeError):
@@ -32,73 +37,84 @@ def _check_field(rows):
     orders = set()
     for row in rows:
         for x in row:
-            if not isinstance(x, Scalar):
-                raise TypeError(f"matrix entries must be Scalars, got {type(x).__name__}")
-            if x.tag == LAURENT:
+            unit = x.__class__ is Unit
+            if not unit and not isinstance(x, Scalar):
+                raise TypeError(f"matrix entries must be Scalars or Units, got {type(x).__name__}")
+            if x.b if unit else x.tag == LAURENT:
                 raise LaurentScalars("matrix entries must be rational or cyclotomic")
-            if x.tag == CYCLOTOMIC:
+            if x.n > 1:  # a cyclotomic Scalar or non-rational Unit; Q has n <= 1
                 orders.add(x.n)
     if len(orders) > 1:
         a, b = sorted(orders)[:2]
         raise RingMismatch(f"cannot combine Q(zeta_{a}) with Q(zeta_{b})")
 
 
-def _rref(rows, n: int) -> dict:
-    """Reduce the sparse rows (nonzero values only) in place; return
-    {pivot col: reduced row without its pivot entry}, whose entries all sit
-    in non-pivot columns."""
+def _echelon(rows, n: int) -> dict:
+    """Forward-eliminate the sparse rows (nonzero values only) in place;
+    return {pivot col: pivot row scaled to a leading 1, without that entry},
+    in column order."""
     live = [r for r in rows if r]
     pivots: dict = {}
     for c in range(n):
         if not live:
             break
-        p = next((i for i, r in enumerate(live) if c in r), None)
-        if p is None:
+        holders = [i for i, r in enumerate(live) if c in r]
+        if not holders:
             continue
-        prow = live.pop(p)
+        p = min(holders, key=lambda i: (live[i][c].__class__ is not Unit, len(live[i])))
+        holders.remove(p)
+        prow = live[p]
         inv = prow.pop(c).inverse()
         for j in prow:
             prow[j] = prow[j] * inv
-        for group in (live, pivots.values()):
-            for r in group:
-                f = r.pop(c, None)
-                if f is None:
-                    continue
-                for j, x in prow.items():
-                    v = r.get(j)
-                    v = -(f * x) if v is None else v - f * x
-                    if v:
-                        r[j] = v
-                    else:
-                        del r[j]
-        live = [r for r in live if r]
+        for i in holders:
+            r = live[i]
+            f = r.pop(c)
+            for j, x in prow.items():
+                v = r.get(j)
+                v = -(f * x) if v is None else v - f * x
+                if v:
+                    r[j] = v
+                else:
+                    del r[j]
+        live = [r for i, r in enumerate(live) if r and i != p]
         pivots[c] = prow
     return pivots
 
 
-def rank_kernel(rows: list[list[Scalar]]) -> tuple[int, list[list[Scalar]]]:
-    """Rank and a kernel basis of the matrix given as a list of rows.
+def rank_kernel(rows: list[list]) -> tuple[int, list[list[Scalar]]]:
+    """Rank and a kernel basis of the matrix given as a list of rows of
+    Scalars and Units.
 
-    Kernel vectors have a 1 in their free column and are returned in
-    column order; rank + len(kernel) == number of columns.
+    Kernel vectors have a 1 in their free column, hold Scalars, and are
+    returned in column order; rank + len(kernel) == number of columns.
     """
     _check_field(rows)
     m = len(rows)
     n = len(rows[0]) if m else 0
     if any(len(r) != n for r in rows):
         raise ValueError("ragged matrix")
-    pivots = _rref([{j: x for j, x in enumerate(r) if x} for r in rows], n)
+    pivots = _echelon([{j: x for j, x in enumerate(r) if x} for r in rows], n)
 
-    zero, one = Scalar.zero(), Scalar.one()
+    zero, one = Scalar.zero(), Unit.one()
+    back = list(reversed(pivots.items()))
     kernel = []
     for f in range(n):
         if f in pivots:
             continue
-        x = [zero] * n
-        x[f] = one
-        for c, prow in pivots.items():
-            v = prow.get(f)
-            if v is not None:
-                x[c] = -v
-        kernel.append(x)
+        x = {f: one}
+        for c, prow in back:
+            if c > f:
+                continue
+            s = None
+            for j, v in prow.items():
+                y = x.get(j)
+                if y is not None:
+                    s = v * y if s is None else s + v * y
+            if s:
+                x[c] = -s
+        vec = [zero] * n
+        for j, v in x.items():
+            vec[j] = v.scalar() if v.__class__ is Unit else v
+        kernel.append(vec)
     return len(pivots), kernel

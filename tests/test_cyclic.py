@@ -18,6 +18,8 @@ from quasicyc.cyclic import (
     cohomology_dims,
     full_tuples,
     identity_suite,
+    mixed_complex_report,
+    periodicity_report,
     space_dim,
 )
 from quasicyc.groups import GroupSpec, InfiniteGroup
@@ -187,6 +189,17 @@ def test_cohomology_errors():
         cohomology_dims(Z2, TRIV, 1, "hodge")
     with pytest.raises(InfiniteGroup):
         CyclicCochain.zero(GroupSpec((2,), free_rank=1), (1,), 1)
+
+
+@pytest.mark.parametrize("report", [
+    lambda: mixed_complex_report(Z2, SIGN, -1),
+    lambda: identity_suite(Z2, SIGN, -1),
+    lambda: periodicity_report(Z2, SIGN, -1),
+    lambda: cohomology_dims(Z2, SIGN, -1, "hh"),
+])
+def test_negative_degree_max_rejected(report):
+    with pytest.raises(DegreeTooLow):
+        report()
 
 
 def test_json_round_trip():

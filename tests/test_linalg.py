@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+import linalg_reference
 from quasicyc.cyclic import apply_rows
 from quasicyc.linalg import LaurentScalars, rank_kernel
-from quasicyc.scalars import RingMismatch, Scalar
+from quasicyc.scalars import RingMismatch, Scalar, Unit
 
 
 def M(rows):
@@ -122,6 +123,61 @@ def test_matches_bareiss_reference(rows):
     assert rank_kernel(rows) == bareiss_rank_kernel(rows)
 
 
+def mixed_entries(rng, N, m, n, density=0.6):
+    """Units (roots of unity, +-1, 2), Scalars (+-1, 2, 1+z, 2+z, a random
+    power-basis vector, a Unit sum that cancels to zero) and zeros over
+    Q(zeta_N), N = 1 meaning Q."""
+    z = Scalar.root_of_unity(N, 1)
+    makers = [
+        lambda: Unit.root_of_unity(N, rng.randrange(N)) * rng.choice((1, -1)),
+        lambda: Unit(rng.choice((1, -1, 2))),
+        lambda: Scalar.rational(rng.choice((1, -1, 2))),
+        lambda: Scalar.one() + z,
+        lambda: z + 2,
+        lambda: Scalar.cyclotomic(N, [rng.randint(-2, 2) for _ in range(N)]),
+        lambda: Unit.root_of_unity(N, 1) + Unit.root_of_unity(N, 1) * -1,
+    ]
+    return [
+        [rng.choice(makers)() if rng.random() < density else Scalar.zero() for _ in range(n)]
+        for _ in range(m)
+    ]
+
+
+def with_dependent_row(rng, N, rows):
+    """Append u*r1 + v*r2 for two rows and unit factors u, v, so that
+    elimination cancels it to zero."""
+    r1, r2 = rng.sample(rows, 2)
+    u = Unit.root_of_unity(N, rng.randrange(N))
+    v = Unit(rng.choice((1, -1)), N, rng.randrange(N))
+    return rows + [[u * a + v * b for a, b in zip(r1, r2)]]
+
+
+def with_non_unit_column(rng, N, rows):
+    """Make column 0 hold only 2 or 1+z, so its pivot cannot be a Unit."""
+    z = Scalar.root_of_unity(N, 1)
+    return [[rng.choice((Scalar.rational(2), Scalar.one() + z))] + r[1:] for r in rows]
+
+
+def mixed_cases():
+    rng = random.Random(31)
+    cases = []
+    for N in (1, 3, 4, 8):
+        for m, n in ((3, 3), (4, 6), (6, 4), (8, 8), (12, 6), (5, 9)):
+            rows = mixed_entries(rng, N, m, n)
+            cases.append(rows)
+            cases.append(with_dependent_row(rng, N, rows))
+            cases.append(with_non_unit_column(rng, N, with_dependent_row(rng, N, rows)))
+            cases.append(with_zero_lines(rng, rows))
+    return cases
+
+
+@pytest.mark.parametrize("rows", mixed_cases())
+def test_matches_gauss_jordan_reference(rows):
+    rank, ker = rank_kernel(rows)
+    assert (rank, ker) == linalg_reference.rank_kernel(rows)
+    assert all(type(v) is Scalar for vec in ker for v in vec)
+
+
 def test_identity():
     rank, ker = rank_kernel(M([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     assert rank == 3 and ker == []
@@ -180,6 +236,16 @@ def test_mixed_cyclotomic_orders_rejected(shape):
     zero = Scalar.zero()
     rows = [[z3, zero], [zero, z4]] if shape == "diagonal" else [[z3], [z4]]
     with pytest.raises(RingMismatch):
+        rank_kernel(rows)
+
+
+@pytest.mark.parametrize("rows, error", [
+    ([[Unit.q_power(1)]], LaurentScalars),
+    ([[Unit.root_of_unity(3, 1)], [Scalar.root_of_unity(4, 1)]], RingMismatch),
+    ([[Unit.root_of_unity(3, 1), Unit.root_of_unity(4, 1)]], RingMismatch),
+])
+def test_unit_entries_checked_like_scalars(rows, error):
+    with pytest.raises(error):
         rank_kernel(rows)
 
 
