@@ -10,9 +10,12 @@ Two kinds:
 Forms are finitely supported maps (g, S) -> Unit or Scalar with S a subset
 of {1..n}; the group part multiplies on the left of the wedge monomial w_S.
 The commutation characters chi_i return Units, so a product of two terms
-multiplies its sign, chi and F factors as one Unit and applies it once.
+multiplies its sign, chi and F factors as one Unit and applies it once;
+the derivations kind has no chi factors to multiply.  The sign and index
+union of w_S ^ w_T come from one bounded table keyed by (S, T).
 d(a w_S) = (da) w_S, where da is sum_i (chi_i(a)-1) a w_i for the
-characters kind and sum_k coord_k(a) a w_k for derivations.  Twisting by
+characters kind and sum_k coord_k(a) a w_k for derivations; form keys are
+canonical, so the coordinates are read off g directly.  Twisting by
 a 2-cochain F changes only the product, never d.
 
 The integral takes the coefficient of the top wedge monomial at the group
@@ -25,6 +28,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cochains import LawReport, braiding_R, domain_elements
 from .groups import GroupSpec, SpecMismatch
@@ -81,9 +85,6 @@ class CalculusSpec:
             return self.group.char_eval(self.weights[i - 1], g)
         return Unit.one()
 
-    def deriv_coeff(self, i: int, g) -> int:
-        return self.group.reduce(g)[i - 1]
-
     def ribbon_weight(self) -> tuple[int, ...]:
         """Weight of chi = prod_i chi_i, the grade character of the calculus."""
         if self.kind == "characters":
@@ -136,9 +137,14 @@ def _check_indices(spec: CalculusSpec, S) -> tuple[int, ...]:
     return S
 
 
-def _shuffle_sign(S, T) -> int:
+@lru_cache(maxsize=4096)
+def _wedge(S: tuple, T: tuple):
+    """(sign, sorted S + T) with w_S ^ w_T = sign w_(S+T), or None when S
+    and T meet; the sign is that of the shuffle sorting S + T."""
+    if set(S) & set(T):
+        return None
     inv = sum(1 for s in S for t in T if s > t)
-    return -1 if inv % 2 else 1
+    return -1 if inv % 2 else 1, tuple(sorted(S + T))
 
 
 def form_product(spec: CalculusSpec, x: Form, y: Form, F=None) -> Form:
@@ -148,18 +154,21 @@ def form_product(spec: CalculusSpec, x: Form, y: Form, F=None) -> Form:
     if F is not None and F.group != spec.group:
         raise SpecMismatch("cochain group does not match the calculus group")
     grp = spec.group
+    chars = spec.kind == "characters"  # every chi_i is 1 for derivations
     out = []
     for (g, S), cx in x.terms.items():
         for (h, T), cy in y.terms.items():
-            if set(S) & set(T):
+            wedge = _wedge(S, T)
+            if wedge is None:
                 continue
             u = _UNIT_ONE if F is None else F.value(g, h)
-            for i in S:
-                u = u * spec.chi(i, h)
+            if chars:
+                for i in S:
+                    u = u * spec.chi(i, h)
             c = u * (cx * cy)
-            if _shuffle_sign(S, T) < 0:
+            if wedge[0] < 0:
                 c = -c
-            out.append(((grp.mul(g, h), tuple(sorted(S + T))), c))
+            out.append(((grp.mul(g, h), wedge[1]), c))
     # the keys of x and y are canonical, so their products are
     return Form._keyed(spec, out)
 
@@ -168,22 +177,21 @@ def differential(spec: CalculusSpec, x: Form) -> Form:
     """d(a w_S) = (da) w_S; the same map for twisted and untwisted products."""
     if x.spec != spec:
         raise SpecMismatch("form does not belong to this calculus")
+    chars = spec.kind == "characters"
     out = []
     for (g, S), c in x.terms.items():
         for i in range(1, spec.n + 1):
-            if i in S:
+            wedge = _wedge((i,), S)
+            if wedge is None:
                 continue
-            if spec.kind == "characters":
-                ci = spec.chi(i, g) - 1
-            else:
-                ci = spec.deriv_coeff(i, g)
+            # g is canonical, so a derivation reads its coordinate directly
+            ci = spec.chi(i, g) - 1 if chars else g[i - 1]
             if not ci:
                 continue
-            below = sum(1 for s in S if s < i)
             coeff = c * ci
-            if below % 2:
+            if wedge[0] < 0:
                 coeff = -coeff
-            out.append(((g, tuple(sorted(S + (i,)))), coeff))
+            out.append(((g, wedge[1]), coeff))
     return Form._keyed(spec, out)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .calculus import (
     DegreeMismatch,
@@ -74,7 +75,11 @@ def _domain_for(pre: Preset, window: int):
 def _law_rows(prefix: str, reports) -> list[dict]:
     rows = []
     for rep in reports:
-        row = {"name": f"{prefix}.{rep.law}", "status": "pass" if rep.holds else "fail"}
+        row = {
+            "name": f"{prefix}.{rep.law}",
+            "status": "pass" if rep.holds else "fail",
+            "domain": rep.domain,
+        }
         if not rep.holds:
             row["counterexample"] = repr(rep.counterexample) + (
                 f" ({rep.detail})" if rep.detail else ""
@@ -96,7 +101,7 @@ def _suite_cochain(pre: Preset, args) -> list[dict]:
     phi = coboundary_phi(F)
     rows = _law_rows("cochain", [
         check_cochain_laws(F, "unital", domain),
-        check_cochain_laws(phi, "unital", domain),
+        replace(check_cochain_laws(phi, "unital", domain), law="phi_unital"),
         check_cochain_laws(phi, "three_cocycle", domain),
     ])
     # whether F itself is a 2-cocycle (and R a bicharacter) varies by preset
@@ -105,6 +110,7 @@ def _suite_cochain(pre: Preset, args) -> list[dict]:
         rows.append({
             "name": f"cochain.{law}",
             "status": "holds" if rep.holds else "does not hold",
+            "domain": rep.domain,
         })
     return rows
 
@@ -149,7 +155,11 @@ def _suite_cyclic(pre: Preset, args) -> list[dict]:
             "needs a finite group",
         )
         return rows
-    rows += _law_rows("cyclic", mixed_complex_report(grp, chi, args.degree_max))
+    # the pointwise suite has a lambda_order row of its own
+    rows += _law_rows("cyclic", [
+        replace(rep, law="mixed_lambda_order") if rep.law == "lambda_order" else rep
+        for rep in mixed_complex_report(grp, chi, args.degree_max)
+    ])
     rows += _law_rows("cyclic", periodicity_report(
         grp, chi, min(args.degree_max, PERIODICITY_DEGREE_CAP),
     ))

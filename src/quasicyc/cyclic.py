@@ -15,7 +15,9 @@ output tuple to one input tuple and a unit coefficient, a `scalars.Unit`
 (the characters' values, and under a twist the transport prefactors), so
 composing pullbacks adds exponents.  Operator identities
 are checked pointwise on those pullbacks, which is equivalent to checking
-them against every cochain and much cheaper.  Operators act on vectors
+them against every cochain and much cheaper; identity_suite evaluates each
+atom once per tuple in a call, from a memo keyed by (kind, degree, index)
+that it drops on return.  Operators act on vectors
 only as sparse rows from atom_rows, streamed once or stored for reuse, and
 applied by the one applier apply_rows.  compose_rows multiplies two row
 sets into the rows of the composite, so an operator identity on a finite
@@ -723,6 +725,20 @@ def _sides_equal(tuples, lhs, rhs):
     return None
 
 
+def _memoized(pull):
+    """pull evaluated at most once per tuple, for as long as the returned
+    pull lives."""
+    seen = {}
+
+    def at(t):
+        out = seen.get(t)
+        if out is None:
+            out = seen[t] = pull(t)
+        return out
+
+    return at
+
+
 def identity_suite(
     group: GroupSpec,
     chi,
@@ -738,11 +754,11 @@ def identity_suite(
     the twist module to run the same suite on the twisted operators.
     The tuples are those of sample_tuples: every support tuple on a finite
     group, the identity tuple plus `samples` seeded tuples from the window
-    on an infinite one.
+    on an infinite one.  Each face, degeneracy and lambda atom is built
+    and wrapped once per call and evaluated at most once per tuple.
     """
     _check_degree_max(degree_max)
     chi = group.check_weight(chi)
-    W = wrap if wrap is not None else (lambda pull: pull)
     if group.free_rank and window is None:
         raise InfiniteGroup("identity suite on an infinite group needs a window")
     domain = f"pointwise, degrees <= {degree_max}"
@@ -755,14 +771,23 @@ def identity_suite(
             pool[out_degree] = sample_tuples(group, out_degree, window, samples, seed)
         return pool[out_degree]
 
+    atoms = {}  # (kind, degree, index) -> the atom, wrapped and memoized
+
+    def atom(key, make, *args):
+        out = atoms.get(key)
+        if out is None:
+            pull = make(*args)
+            out = atoms[key] = _memoized(pull if wrap is None else wrap(pull))
+        return out
+
     def F(k, i):
-        return W(face_pull(group, chi, k, i))
+        return atom(("d", k, i), face_pull, group, chi, k, i)
 
     def S_(k_out, i):
-        return W(degeneracy_pull(group, k_out, i))
+        return atom(("s", k_out, i), degeneracy_pull, group, k_out, i)
 
     def L(k):
-        return W(lambda_pull(group, chi, k))
+        return atom(("lambda", k, 0), lambda_pull, group, chi, k)
 
     reports = []
 

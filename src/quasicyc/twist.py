@@ -8,7 +8,8 @@ prefactor
 and the twisted cyclic operators are the conjugates X^F = P X P^{-1}.
 TransportPrefactor.value returns P as a `scalars.Unit` when F's values are
 Units, so a conjugated coefficient is a sum of exponents and P^{-1} is the
-negated exponents.
+negated exponents.  A TransportPrefactor memoizes P and P^{-1} per tuple,
+so a conjugated pull inverts each input tuple's prefactor once per memo.
 Conjugation is the normative definition: the conjugated module satisfies
 every cocyclic identity automatically, so identity checks on it exercise
 the transport code, not the algebra.  The group-like specializations of
@@ -43,13 +44,15 @@ from .scalars import Unit
 
 
 class TransportPrefactor:
-    """Memoized evaluator of the left-to-right transport prefactor."""
+    """Memoized evaluator of the left-to-right transport prefactor and of
+    its inverse, one memo each."""
 
-    __slots__ = ("F", "_memo")
+    __slots__ = ("F", "_memo", "_inverse")
 
     def __init__(self, F: Cochain2):
         self.F = F
         self._memo = {}
+        self._inverse = {}
 
     def value(self, gs: tuple):
         out = self._memo.get(gs)
@@ -64,8 +67,10 @@ class TransportPrefactor:
         return out
 
     def inverse_value(self, gs: tuple):
-        # the memo first, so value() runs only on a miss
-        return (self._memo.get(gs) or self.value(gs)).inverse()
+        out = self._inverse.get(gs)
+        if out is None:
+            out = self._inverse[gs] = (self._memo.get(gs) or self.value(gs)).inverse()
+        return out
 
 
 def transport(phi: CyclicCochain, F: Cochain2) -> CyclicCochain:

@@ -98,6 +98,38 @@ def test_verify_certificate_shape_and_determinism(capsys):
     assert rc2 == 0 and out2 == out
 
 
+@pytest.mark.parametrize("preset, window, domain", [
+    ("octonion", (), "exhaustive"),
+    ("torus", ("--window", "2"), "window(2)"),
+])
+def test_law_rows_carry_their_domain(capsys, preset, window, domain):
+    args = ("verify", "--preset", preset, "--suite", "algebra", *window)
+    rc, out, _ = run(capsys, *args)
+    assert rc == 0
+    rows = json.loads(out)["identities"]
+    assert len(rows) == 3 and all(r["domain"] == domain for r in rows)
+    rc2, out2, _ = run(capsys, *args)
+    assert rc2 == 0 and out2 == out
+
+
+@pytest.mark.parametrize("preset", ["octonion", "torus", "z2_trivial"])
+def test_verify_all_row_names_are_unique(capsys, preset):
+    rc, out, _ = run(
+        capsys, "verify", "--preset", preset, "--suite", "all", "--degree-max", "1",
+        "--window", "1",
+    )
+    assert rc == 0
+    rows = json.loads(out)["identities"]
+    names = [r["name"] for r in rows]
+    assert len(names) == len(set(names))
+    suites = ("cochain.", "algebra.", "calculus.", "cyclic.")
+    assert all("domain" in r for r in rows
+               if r["name"].startswith(suites) and not r["status"].startswith("skipped"))
+    assert "cochain.unital" in names and "cochain.phi_unital" in names
+    if preset != "torus":
+        assert {"cyclic.lambda_order", "cyclic.mixed_lambda_order"} <= set(names)
+
+
 def test_verify_single_suite_torus_skips_finite_only_checks(capsys):
     rc, out, _ = run(
         capsys, "verify", "--preset", "torus", "--suite", "cyclic",

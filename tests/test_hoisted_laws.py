@@ -171,7 +171,7 @@ def _unsigned_differential(spec, x):
             if spec.kind == "characters":
                 ci = spec.chi(i, g) - 1
             else:
-                ci = spec.deriv_coeff(i, g)
+                ci = g[i - 1]
             if ci:
                 out.append(((g, tuple(sorted(S + (i,)))), c * ci))
     return Form._keyed(spec, out)
