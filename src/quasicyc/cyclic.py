@@ -25,6 +25,16 @@ group is decided exactly, for every cochain, by comparing composites:
 mixed_complex_report decides the mixed-complex laws that way, and
 twist.verify_transport the intertwining b^F T = T b.
 
+Stored rows live in one store per (group, chi), an OperatorCache from
+operators(), an lru_cache bounded at two stores: cohomology_dims,
+cyclic_cocycle_basis, mixed_complex_report, periodicity_report and the
+apply_b/lambda/N/B/S functions all read it, so the hh and hc dims of one
+family, plain and twisted, build each row once.  A twisted read scales
+the stored rows by the transport prefactor on both sides
+(twist.row_conjugator), which is P X P^{-1} written on rows, and the rows
+go to linalg.rank_kernel as they are stored, sparse.  The hc rank of b on
+the lambda-invariant part is rank[lambda - id; b] - rank(lambda - id).
+
 The extra degeneracy is s_{-1} = (-1)^n s_0 lambda^{-1} and the
 mixed-complex operators are
 
@@ -369,9 +379,15 @@ def apply_degeneracy(phi: CyclicCochain, i: int) -> CyclicCochain:
     return _apply_atoms(phi, [(1, pull)], phi.degree - 1)
 
 
+def _apply_stored(phi: CyclicCochain, op: str, twist=None) -> CyclicCochain:
+    """op, conjugated by twist if given, applied to phi through the store."""
+    rows = stored_rows(phi.group, phi.chi, twist)(op, phi.degree)
+    vec = apply_rows(rows, phi.vec, Scalar.zero())
+    return CyclicCochain(phi.group, phi.chi, phi.degree + OperatorCache.OPS[op], vec)
+
+
 def apply_lambda(phi: CyclicCochain) -> CyclicCochain:
-    pull = lambda_pull(phi.group, phi.chi, phi.degree)
-    return _apply_atoms(phi, [(1, pull)], phi.degree)
+    return _apply_stored(phi, "lambda")
 
 
 def extra_degeneracy_pull(group, chi, k: int):
@@ -409,7 +425,7 @@ def b_atoms(group, chi, k: int, wrap=None):
 
 
 def apply_b(phi: CyclicCochain) -> CyclicCochain:
-    return _apply_atoms(phi, b_atoms(phi.group, phi.chi, phi.degree), phi.degree + 1)
+    return _apply_stored(phi, "b")
 
 
 def n_atoms(group, chi, k: int):
@@ -417,7 +433,7 @@ def n_atoms(group, chi, k: int):
 
 
 def apply_N(phi: CyclicCochain) -> CyclicCochain:
-    return _apply_atoms(phi, n_atoms(phi.group, phi.chi, phi.degree), phi.degree)
+    return _apply_stored(phi, "N")
 
 
 def B_atoms(group, chi, k: int):
@@ -440,14 +456,13 @@ def B_atoms(group, chi, k: int):
 def apply_B(phi: CyclicCochain) -> CyclicCochain:
     if phi.degree < 1:
         raise DegreeTooLow("B needs degree >= 1")
-    return _apply_atoms(
-        phi, B_atoms(phi.group, phi.chi, phi.degree), phi.degree - 1
-    )
+    return _apply_stored(phi, "B")
 
 
 def s_atoms(group, chi, m: int):
     """Atoms of the periodicity operator S: C^m -> C^{m+2}, n = m + 1.
-    The -1/(n(n+1)) factor is applied by apply_S, not stored in the atoms."""
+    The -1/(n(n+1)) factor is applied by apply_S, not stored in the atoms
+    or in the rows."""
     n = m + 1
     out = []
     for i in range(1, n + 1):
@@ -461,10 +476,7 @@ def s_atoms(group, chi, m: int):
 
 def apply_S(phi: CyclicCochain) -> CyclicCochain:
     n = phi.degree + 1
-    raw = _apply_atoms(
-        phi, s_atoms(phi.group, phi.chi, phi.degree), phi.degree + 2
-    )
-    return Scalar.rational(-1, n * (n + 1)) * raw
+    return Scalar.rational(-1, n * (n + 1)) * _apply_stored(phi, "S")
 
 
 def atom_rows(group, atoms, out_degree):
@@ -559,9 +571,11 @@ def apply_rows(rows, vec, zero):
 
 
 class OperatorCache:
-    """Rows of b, B, lambda and N per degree for one (group, chi) pair."""
+    """Rows of b, B, lambda, N, lambda - id and S (without its -1/(n(n+1))
+    factor) per degree for one (group, chi) pair, each built on first use;
+    OPS maps an operator to the degree shift of its output."""
 
-    OPS = {"b": 1, "B": -1, "N": 0, "lambda": 0}
+    OPS = {"b": 1, "B": -1, "N": 0, "lambda": 0, "lambda_minus_id": 0, "S": 2}
 
     def __init__(self, group, chi):
         self.group = group
@@ -581,10 +595,22 @@ class OperatorCache:
                 atoms = n_atoms(grp, chi, degree)
             elif op == "lambda":
                 atoms = [(1, lambda_pull(grp, chi, degree))]
+            elif op == "lambda_minus_id":
+                atoms = lambda_minus_id_atoms(grp, chi, degree)
+            elif op == "S":
+                atoms = s_atoms(grp, chi, degree)
             else:
                 raise ValueError(f"unknown operator {op!r}")
             self._rows[key] = list(atom_rows(grp, atoms, degree + self.OPS[op]))
         return self._rows[key]
+
+
+@lru_cache(maxsize=2)
+def operators(group: GroupSpec, chi: tuple) -> OperatorCache:
+    """The shared row store of (group, chi), chi as check_weight returns
+    it.  The two most recent are kept: the dims jobs of one family, and the
+    mixed and periodicity checks of one certificate, read one back to back."""
+    return OperatorCache(group, chi)
 
 
 def mixed_complex_report(
@@ -599,7 +625,7 @@ def mixed_complex_report(
     """
     _check_degree_max(degree_max)
     chi = group.check_weight(chi)
-    rows = OperatorCache(group, chi).rows
+    rows = operators(group, chi).rows
     domain = f"exact: every cochain, degrees <= {degree_max}"
     fails = {}
 
@@ -629,31 +655,13 @@ def mixed_complex_report(
     ]
 
 
-def _dense(rows, dim):
-    """Dense rows for rank_kernel: +-1 become Units, a repeated column sums."""
-    zero = Scalar.zero()
-    units = {1: Unit.one(), -1: Unit(-1)}
-    out = []
-    for row in rows:
-        dense = [zero] * dim
-        for col, c in row:
-            c = units[c] if c.__class__ is int else c
-            dense[col] = c if dense[col] is zero else dense[col] + c
-        out.append(dense)
-    return out
-
-
 def cyclic_cocycle_basis(group: GroupSpec, chi, degree: int):
     """Kernel basis of the stacked (lambda - id, b) map on C^degree, as
     scalar vectors."""
     chi = group.check_weight(chi)
-    dim = space_dim(group, degree)
-    lam_rows = _dense(
-        atom_rows(group, lambda_minus_id_atoms(group, chi, degree), degree), dim
-    )
-    b_rows = _dense(atom_rows(group, b_atoms(group, chi, degree), degree + 1), dim)
-    _, kernel = rank_kernel(lam_rows + b_rows)
-    return kernel
+    rows = operators(group, chi).rows
+    stacked = rows("lambda_minus_id", degree) + rows("b", degree)
+    return rank_kernel(stacked, space_dim(group, degree))[1]
 
 
 def periodicity_report(
@@ -882,13 +890,21 @@ def identity_suite(
 # ---------------------------------------------------------------------------
 # cohomology dimensions
 
-def lambda_minus_id_atoms(group, chi, k, wrap=None):
-    lam = lambda_pull(group, chi, k)
-    ident = identity_pull
-    if wrap is not None:
-        lam = wrap(lam)
-        ident = wrap(ident)
-    return [(1, lam), (-1, ident)]
+def lambda_minus_id_atoms(group, chi, k):
+    return [(1, lambda_pull(group, chi, k)), (-1, identity_pull)]
+
+
+def stored_rows(group: GroupSpec, chi, twist=None):
+    """rows(op, k): the store's rows of op on C^k, or under twist the rows
+    of the conjugate P op P^{-1} (twist.row_conjugator)."""
+    chi = group.check_weight(chi)
+    rows = operators(group, chi).rows
+    if twist is None:
+        return rows
+    from .twist import row_conjugator
+
+    conj = row_conjugator(twist, group)
+    return lambda op, k: conj(rows(op, k), k + OperatorCache.OPS[op], k)
 
 
 def cohomology_dims(
@@ -901,23 +917,18 @@ def cohomology_dims(
     """Exact braided Hochschild (hh) or cyclic (hc) cohomology dimensions.
 
     dim H^k = dim ker(b on C^k) - rank(b from C^{k-1}), with C^k replaced
-    by its lambda-invariant part for hc.  twist conjugates b and lambda by
-    the transport prefactor of the given 2-cochain.
+    by its lambda-invariant part ker(lambda - id) for hc.  b restricted to
+    that part has rank rank[lambda - id; b] - rank(lambda - id), the
+    stacked rows less the invariance rows, so every rank is taken on
+    stored sparse rows.  twist conjugates b and lambda by the transport
+    prefactor of the given 2-cochain, by scaling the stored rows.
     """
     if which not in ("hh", "hc"):
         raise ValueError(f"unknown cohomology kind {which!r}")
     _check_degree_max(degree_max)
     if group.free_rank:
         raise InfiniteGroup("cohomology dimensions need a finite group")
-    chi = group.check_weight(chi)
-    wrap = None
-    if twist is not None:
-        from .twist import conjugator
-
-        wrap = conjugator(twist)
-
-    def b_rows(k):
-        return atom_rows(group, b_atoms(group, chi, k, wrap), k + 1)
+    rows = stored_rows(group, chi, twist)
 
     out = []
     prev_rank = 0
@@ -925,16 +936,14 @@ def cohomology_dims(
         dim_k = space_dim(group, k)
         if which == "hh":
             dim_c = dim_k
-            rank_out, _ = rank_kernel(_dense(b_rows(k), dim_k))
+            rank_out, _ = rank_kernel(rows("b", k), dim_k)
         else:
-            lam = atom_rows(group, lambda_minus_id_atoms(group, chi, k, wrap), k)
-            _, inv_basis = rank_kernel(_dense(lam, dim_k))
-            dim_c = len(inv_basis)
+            lam = rows("lambda_minus_id", k)
+            rank_lam, _ = rank_kernel(lam, dim_k)
+            dim_c = dim_k - rank_lam
             rank_out = 0
             if dim_c:
-                rows = list(b_rows(k))
-                images = [apply_rows(rows, v, Scalar.zero()) for v in inv_basis]
-                rank_out, _ = rank_kernel([list(r) for r in zip(*images)])
+                rank_out = rank_kernel(lam + rows("b", k), dim_k)[0] - rank_lam
         out.append({
             "degree": k,
             "dim_C": dim_c,

@@ -1,8 +1,14 @@
 """Exact linear algebra over field scalars (rational or cyclotomic).
 
-rank_kernel takes Scalar and `scalars.Unit` entries and runs one sparse
-forward elimination: rows are {col: value} dicts, columns are taken in
-order, and zeros are never stored.  The pivot of a column is a remaining
+rank_kernel takes a matrix as sparse rows, each a list of (col, value)
+pairs, the form in which `cyclic.OperatorCache` stores operator rows.  The
+values are Scalars, `scalars.Unit`s or ints: an int becomes a Unit, a
+column named twice in one row is summed, and zeros are dropped.  The rows
+are copied into {col: value} dicts, so a stored row set is never mutated
+and can be eliminated again or stacked with others.
+
+It runs one sparse forward elimination: columns are taken in order, and
+zeros are never stored.  The pivot of a column is a remaining
 row whose entry there is a Unit, the one with the fewest entries; only when
 no row has a Unit there is it the shortest row that holds the column.  A
 Unit's inverse negates its exponent, so the arithmetic of unit-monomial rows
@@ -29,14 +35,14 @@ class LaurentScalars(TypeError):
 
 
 def _check_field(rows):
-    """Validate the entries before any elimination.
+    """Validate the nonzero entries before any elimination.
 
     Cyclotomic entries must share one order N: two different cyclotomic
     fields have no common ring here, whether or not their entries would
     ever meet during elimination."""
     orders = set()
     for row in rows:
-        for x in row:
+        for x in row.values():
             unit = x.__class__ is Unit
             if not unit and not isinstance(x, Scalar):
                 raise TypeError(f"matrix entries must be Scalars or Units, got {type(x).__name__}")
@@ -82,19 +88,42 @@ def _echelon(rows, n: int) -> dict:
     return pivots
 
 
-def rank_kernel(rows: list[list]) -> tuple[int, list[list[Scalar]]]:
-    """Rank and a kernel basis of the matrix given as a list of rows of
-    Scalars and Units.
+_INT_UNITS = {1: Unit.one(), -1: Unit(-1)}
+
+
+def _row_dict(row, n: int) -> dict:
+    """{col: value} of (col, value) pairs: ints become Units, a repeated
+    column is summed, zeros are dropped."""
+    out = {}
+    for j, x in row:
+        if not 0 <= j < n:
+            raise ValueError(f"column {j} outside 0..{n - 1}")
+        if x.__class__ is int:
+            if not x:
+                continue
+            x = _INT_UNITS.get(x) or Unit(x)
+        elif x.__class__ is Scalar and not x:
+            continue
+        prev = out.get(j)
+        if prev is not None:
+            x = prev + x
+            if not x:
+                del out[j]
+                continue
+        out[j] = x
+    return out
+
+
+def rank_kernel(rows, n: int) -> tuple[int, list[list[Scalar]]]:
+    """Rank and a kernel basis of the matrix with n columns given by sparse
+    rows of (col, value) pairs; the rows are read, never mutated.
 
     Kernel vectors have a 1 in their free column, hold Scalars, and are
-    returned in column order; rank + len(kernel) == number of columns.
+    returned in column order; rank + len(kernel) == n.
     """
-    _check_field(rows)
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if any(len(r) != n for r in rows):
-        raise ValueError("ragged matrix")
-    pivots = _echelon([{j: x for j, x in enumerate(r) if x} for r in rows], n)
+    sparse = [_row_dict(r, n) for r in rows]
+    _check_field(sparse)
+    pivots = _echelon(sparse, n)
 
     zero, one = Scalar.zero(), Unit.one()
     back = list(reversed(pivots.items()))

@@ -319,3 +319,28 @@ def test_closed_form_follows_the_calculus_not_the_name(tmp_path, capsys):
     for extra in ([], ["--closed-form"]):
         rc, out, err = run(capsys, "character", "--preset", path, "--args", "uv,u,v", *extra)
         assert (rc, out, err) == (0, "4\n", "")
+
+
+@pytest.mark.parametrize("preset, window, pointwise", [
+    ("octonion", (), "exhaustive"),
+    ("torus", ("--window", "2"), "window(2) x60"),
+])
+def test_twist_rows_carry_their_domain(capsys, preset, window, pointwise):
+    args = ("verify", "--preset", preset, "--suite", "twist", "--degree-max", "2", *window)
+    rc, out, _ = run(capsys, *args)
+    assert rc == 0
+    rows = json.loads(out)["identities"]
+    for r in rows:
+        if r["name"] == "transport_intertwines_b":
+            if preset == "torus":
+                assert r["status"].startswith("skipped") and "domain" not in r
+            else:
+                assert r["domain"] == "exact: every cochain, degrees <= 2"
+        else:
+            assert r["domain"] == pointwise, r["name"]
+    assert {r["name"] for r in rows if r.get("domain") == pointwise} >= {
+        "conjugated_face_face", "character_transport", "direct_faces_degree_2",
+        "direct_lambda_degree_2",
+    }
+    rc2, out2, _ = run(capsys, *args)
+    assert rc2 == 0 and out2 == out

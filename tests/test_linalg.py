@@ -4,8 +4,19 @@ import pytest
 
 import linalg_reference
 from quasicyc.cyclic import apply_rows
-from quasicyc.linalg import LaurentScalars, rank_kernel
+from quasicyc import linalg
+from quasicyc.linalg import LaurentScalars
 from quasicyc.scalars import RingMismatch, Scalar, Unit
+
+
+def sparse(rows):
+    """The nonzero entries of dense rows as (col, value) pairs."""
+    return [[(j, x) for j, x in enumerate(r) if x] for r in rows]
+
+
+def rank_kernel(rows):
+    """linalg.rank_kernel of a dense matrix, given as sparse rows."""
+    return linalg.rank_kernel(sparse(rows), len(rows[0]) if rows else 0)
 
 
 def M(rows):
@@ -249,9 +260,41 @@ def test_unit_entries_checked_like_scalars(rows, error):
         rank_kernel(rows)
 
 
-def test_ragged_rejected():
-    with pytest.raises(ValueError):
-        rank_kernel(M([[1, 2], [3]]))
+def test_column_out_of_range_rejected():
+    one = Scalar.one()
+    for col in (2, 5, -1):
+        with pytest.raises(ValueError):
+            linalg.rank_kernel([[(0, one)], [(col, one)]], 2)
+
+
+def test_sparse_rows_sum_repeated_columns_and_read_ints_as_units():
+    z = Unit.root_of_unity(4, 1)
+    rows = [
+        [(0, 1), (2, -1), (0, 1)],        # 2 at column 0
+        [(1, z), (1, z * -1), (2, 0)],    # cancels to an empty row
+        [(1, 2), (2, Scalar.zero()), (0, -1)],
+        [(2, z), (2, z)],
+    ]
+    two = Scalar.rational(2)
+    zero = Scalar.zero()
+    dense = [
+        [two, zero, Scalar.rational(-1)],
+        [zero, zero, zero],
+        [Scalar.rational(-1), two, zero],
+        [zero, zero, z + z],
+    ]
+    assert linalg.rank_kernel(rows, 3) == linalg_reference.rank_kernel(dense)
+    assert linalg.rank_kernel(rows, 3)[0] == 3
+
+
+def test_rows_are_not_mutated():
+    rng = random.Random(14)
+    for rows in (b_like(rng, 16, 8), roots_of_unity(rng, 8, 5, 7)):
+        pairs = sparse(rows)
+        before = [list(r) for r in pairs]
+        first = linalg.rank_kernel(pairs, len(rows[0]))
+        assert pairs == before
+        assert linalg.rank_kernel(pairs, len(rows[0])) == first
 
 
 def test_determinism():

@@ -174,3 +174,26 @@ def test_twisted_cohomology_matches_untwisted():
         plain = cohomology_dims(Z2, (1,), 2, which)
         twisted = cohomology_dims(Z2, (1,), 2, which, twist=F)
         assert [r["dim"] for r in plain] == [r["dim"] for r in twisted]
+
+
+# -- a twist on another group ----------------------------------------------------
+
+Z2, Z3 = GroupSpec((2,)), GroupSpec((3,))
+Z3_F = Cochain2.from_expr(Z3, ("root_of_unity", 3), "i1*j1")
+
+
+def test_cohomology_dims_rejects_a_twist_on_another_group():
+    with pytest.raises(SpecMismatch):
+        cohomology_dims(Z2, (1,), 1, "hh", twist=Z3_F)
+
+
+def test_apply_b_twisted_rejects_a_twist_on_another_group():
+    phi = CyclicCochain.basis(Z2, (1,), 1, 1)
+    with pytest.raises(SpecMismatch):
+        apply_b_twisted(phi, Z3_F)
+
+
+def test_apply_lambda_twisted_rejects_a_twist_on_another_group():
+    phi = CyclicCochain.basis(Z2, (1,), 1, 1)
+    with pytest.raises(SpecMismatch):
+        apply_lambda_twisted(phi, Z3_F)
