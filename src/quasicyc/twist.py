@@ -133,26 +133,20 @@ def row_conjugator(F: Cochain2, group: GroupSpec):
     """
     _check_same_group(F, group)
     pref = TransportPrefactor(F)
-    diagonals = {}
-
-    def diagonal(k, inverse):
-        out = diagonals.get((k, inverse))
-        if out is None:
-            if inverse:
-                inv = [pref.inverse_value(t) for t in full_tuples(group, k)]
-                out = {1: inv, -1: [-x for x in inv]}
-            else:
-                out = [pref.value(t) for t in full_tuples(group, k)]
-            diagonals[k, inverse] = out
-        return out
+    left, right = {}, {}  # degree -> P; degree -> {1: P^{-1}, -1: -P^{-1}}
 
     def conj(rows, out_degree, in_degree):
-        right = diagonal(in_degree, True)
-        inv = right[1]
+        if out_degree not in left:
+            left[out_degree] = [pref.value(t) for t in full_tuples(group, out_degree)]
+        if in_degree not in right:
+            inv = [pref.inverse_value(t) for t in full_tuples(group, in_degree)]
+            right[in_degree] = {1: inv, -1: [-x for x in inv]}
+        signed = right[in_degree]
+        inv = signed[1]
         return [
-            [(col, p * (right[c][col] if c.__class__ is int else c * inv[col]))
+            [(col, p * (signed[c][col] if c.__class__ is int else c * inv[col]))
              for col, c in row]
-            for p, row in zip(diagonal(out_degree, False), rows)
+            for p, row in zip(left[out_degree], rows)
         ]
 
     return conj
