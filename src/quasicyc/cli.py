@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import lru_cache
 
 from .calculus import (
     DegreeMismatch,
@@ -303,6 +304,8 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+# built once per process: parse_args leaves the parser as it found it
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="quasicyc",

@@ -13,12 +13,18 @@ operator:
 Every operator here is a sum of one-point pullbacks: a map sending the full
 output tuple to one input tuple and a unit coefficient, a `scalars.Unit`
 (the characters' values, and under a twist the transport prefactors), so
-composing pullbacks adds exponents.  Operator identities
-are checked pointwise on those pullbacks, which is equivalent to checking
-them against every cochain and much cheaper; identity_suite evaluates each
-atom once per tuple in a call, from a memo keyed by (kind, degree, index)
-that it drops on return.  Operators act on vectors
-only as sparse rows from atom_rows, streamed once or stored for reuse, and
+composing pullbacks adds exponents.  On a finite group a pullback is a
+fixed map between the support tuples of two degrees: pull_table writes it
+as a table, the full_tuples index of the pulled tuple and the coefficient
+at each output tuple.  A primitive's table is built by pulling each tuple
+once; compose_pulls records its parts, so a composite's table is its
+parts' tables composed by indexing.  Operator identities are checked
+pointwise on pullbacks, which is equivalent to checking them against
+every cochain and much cheaper: on a finite group identity_suite compares
+the two sides' composite tables; on a group with a free part it evaluates
+each atom at most once per sampled tuple in a call, from a memo keyed by
+(kind, degree, index) that it drops on return.  Operators act on vectors
+only as sparse rows, built by atom_rows from the atoms' tables and
 applied by the one applier apply_rows.  compose_rows multiplies two row
 sets into the rows of the composite, so an operator identity on a finite
 group is decided exactly, for every cochain, by comparing composites:
@@ -29,7 +35,9 @@ Stored rows live in one store per (group, chi), an OperatorCache from
 operators(), an lru_cache bounded at two stores: cohomology_dims,
 cyclic_cocycle_basis, mixed_complex_report, periodicity_report and the
 apply_b/lambda/N/B/S functions all read it, so the hh and hc dims of one
-family, plain and twisted, build each row once.  A twisted read scales
+family, plain and twisted, build each row once.  The store also keeps the
+tables of its primitive pulls, which identity_suite reads when it checks
+the unwrapped operators.  A twisted read scales
 the stored rows by the transport prefactor on both sides
 (twist.row_conjugator), which is P X P^{-1} written on rows, and the rows
 go to linalg.rank_kernel as they are stored, sparse.  The hc rank of b on
@@ -163,14 +171,23 @@ def index_tuples(group: GroupSpec, degree: int):
     return itertools.product(_els(group), repeat=degree)
 
 
-def full_tuples(group: GroupSpec, degree: int):
+@lru_cache(maxsize=128)
+def full_tuples(group: GroupSpec, degree: int) -> tuple:
     """All support tuples (g0, g1..gk) in vector order, g0 determined."""
     mul, inv, e = _mul_table(group), _inv_table(group), group.identity()
+    out = []
     for tail in index_tuples(group, degree):
         g = e
         for h in tail:
             g = mul[g, h]
-        yield (inv[g],) + tail
+        out.append((inv[g],) + tail)
+    return tuple(out)
+
+
+@lru_cache(maxsize=128)
+def _positions(group: GroupSpec, degree: int) -> dict:
+    """Support tuple of the degree -> its index in full_tuples order."""
+    return {t: i for i, t in enumerate(full_tuples(group, degree))}
 
 
 class CyclicCochain:
@@ -291,6 +308,9 @@ def identity_pull(t):
     return t, _ONE
 
 
+# The primitive pulls are shared per arguments, so a store's tables, keyed
+# by pull, build each primitive's table once.
+@lru_cache(maxsize=None)
 def face_pull(group: GroupSpec, chi, k: int, i: int):
     """Pullback of d_i: C^k -> C^{k+1}; argument is the full output tuple."""
     if not 0 <= i <= k + 1:
@@ -307,6 +327,7 @@ def face_pull(group: GroupSpec, chi, k: int, i: int):
     return pull
 
 
+@lru_cache(maxsize=None)
 def degeneracy_pull(group: GroupSpec, k: int, i: int):
     """Pullback of s_i: C^{k+1} -> C^k; argument is the full output tuple."""
     if not 0 <= i <= k:
@@ -319,6 +340,7 @@ def degeneracy_pull(group: GroupSpec, k: int, i: int):
     return pull
 
 
+@lru_cache(maxsize=None)
 def lambda_pull(group: GroupSpec, chi, k: int):
     """Pullback of the signed cyclic operator on C^k."""
     cv = _chi_table(group, chi)
@@ -339,7 +361,8 @@ def lambda_pull(group: GroupSpec, chi, k: int):
 
 
 def compose_pulls(*pulls):
-    """Pullback of a composite; list the outermost operator first."""
+    """Pullback of a composite; list the outermost operator first.  The
+    composite records its parts, so pull_table composes their tables."""
     if not pulls:
         return identity_pull
 
@@ -351,11 +374,61 @@ def compose_pulls(*pulls):
                 c = ci if c is _ONE else c * ci
         return t, c
 
+    pull.parts = pulls
     return pull
 
 
 def lambda_power_pull(group, chi, k, j):
     return compose_pulls(*([lambda_pull(group, chi, k)] * j))
+
+
+# ---------------------------------------------------------------------------
+# pullback tables on a finite group
+#
+# A table (idx, coef, in_degree) lists, for each support tuple of the output
+# degree in full_tuples order, the full_tuples index of its pulled tuple in
+# C^in_degree and the coefficient, _ONE where the coefficient is 1.
+
+def _pulled_table(group, pull, out_degree):
+    """Table of a pull, each support tuple pulled once."""
+    pulled = [pull(t) for t in full_tuples(group, out_degree)]
+    in_degree = len(pulled[0][0]) - 1
+    pos = _positions(group, in_degree)
+    return tuple([pos[t] for t, _ in pulled]), tuple([c for _, c in pulled]), in_degree
+
+
+def _compose_tables(outer, inner):
+    """Table of the composite pull: outer's pull, then inner's."""
+    o_idx, o_coef, _ = outer
+    i_idx, i_coef, in_degree = inner
+    coef = tuple([
+        d if c is _ONE else c if d is _ONE else c * d
+        for c, d in zip(o_coef, map(i_coef.__getitem__, o_idx))
+    ])
+    return tuple(map(i_idx.__getitem__, o_idx)), coef, in_degree
+
+
+def _primitives(pull):
+    parts = getattr(pull, "parts", None)
+    if parts is None:
+        yield pull
+    else:
+        for p in parts:
+            yield from _primitives(p)
+
+
+def pull_table(group, pull, out_degree, memo):
+    """Table of pull on C^out_degree: the composition of its primitives'
+    tables, a composite's parts read outermost first; each primitive's
+    table is built once per memo, keyed by (pull, out_degree)."""
+    table = None
+    for prim in _primitives(pull):
+        key = (prim, out_degree if table is None else table[2])
+        part = memo.get(key)
+        if part is None:
+            part = memo[key] = _pulled_table(group, *key)
+        table = part if table is None else _compose_tables(table, part)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -479,24 +552,29 @@ def apply_S(phi: CyclicCochain) -> CyclicCochain:
     return Scalar.rational(-1, n * (n + 1)) * _apply_stored(phi, "S")
 
 
-def atom_rows(group, atoms, out_degree):
-    """Yield the sparse row [(col, coeff)] of sum(coeff * pull) at each output
-    tuple, in vector order.  Apply a stream once with apply_rows, or store it
-    with list() to apply it to many vectors.  Coefficients +1/-1 are stored
-    as ints so the apply loop can skip scalar multiplication; the others are
+def _row_coeff(coeff, c):
+    if c is _ONE and coeff in (1, -1):
+        return coeff
+    v = c if coeff == 1 else coeff * c
+    return 1 if v == 1 else -1 if v == -1 else v
+
+
+def atom_rows(group, atoms, out_degree, memo=None):
+    """The sparse rows [(col, coeff)] of sum(coeff * pull), one per output
+    tuple in vector order, an entry per atom in atom order.  Each atom's
+    table comes from pull_table, with primitive tables memoized in memo
+    (one dict per call when None).  Coefficients +1/-1 are stored as ints
+    so the apply loop can skip scalar multiplication; the others are
     Units, or Scalars under a twist with non-monomial values."""
-    for full in full_tuples(group, out_degree):
-        row = []
-        for coeff, pull in atoms:
-            t_in, c = pull(full)
-            v = c if coeff == 1 else coeff * c
-            if v == 1:
-                row.append((_index(group, t_in[1:]), 1))
-            elif v == -1:
-                row.append((_index(group, t_in[1:]), -1))
-            else:
-                row.append((_index(group, t_in[1:]), v))
-        yield row
+    if memo is None:
+        memo = {}
+    columns = []
+    for coeff, pull in atoms:
+        idx, coef, _ = pull_table(group, pull, out_degree, memo)
+        columns.append(zip(idx, [_row_coeff(coeff, c) for c in coef]))
+    if not columns:
+        return [[] for _ in full_tuples(group, out_degree)]
+    return [list(row) for row in zip(*columns)]
 
 
 def _pairs(row):
@@ -528,10 +606,6 @@ def compose_rows(outer, inner) -> list[dict]:
     ]
 
 
-def _tuple_at(group, degree: int, idx: int) -> tuple:
-    return next(itertools.islice(full_tuples(group, degree), idx, None))
-
-
 def row_counterexample(group, in_degree, out_degree, rows, other=None):
     """None when the operators C^in_degree -> C^out_degree with these rows
     are equal (other=None: the zero operator), else "degree k output ...
@@ -544,8 +618,8 @@ def row_counterexample(group, in_degree, out_degree, rows, other=None):
         diff = _row_sum(pairs)
         if diff:
             return (
-                f"degree {in_degree} output {_tuple_at(group, out_degree, i)!r} "
-                f"input {_tuple_at(group, in_degree, min(diff))!r}"
+                f"degree {in_degree} output {full_tuples(group, out_degree)[i]!r} "
+                f"input {full_tuples(group, in_degree)[min(diff)]!r}"
             )
     return None
 
@@ -572,8 +646,9 @@ def apply_rows(rows, vec, zero):
 
 class OperatorCache:
     """Rows of b, B, lambda, N, lambda - id and S (without its -1/(n(n+1))
-    factor) per degree for one (group, chi) pair, each built on first use;
-    OPS maps an operator to the degree shift of its output."""
+    factor) per degree for one (group, chi) pair, each built on first use
+    from the tables of its atoms' primitive pulls, which identity_suite
+    reads too; OPS maps an operator to the degree shift of its output."""
 
     OPS = {"b": 1, "B": -1, "N": 0, "lambda": 0, "lambda_minus_id": 0, "S": 2}
 
@@ -581,6 +656,7 @@ class OperatorCache:
         self.group = group
         self.chi = group.check_weight(chi)
         self._rows = {}
+        self.tables = {}  # pull_table's memo of primitive tables
 
     def rows(self, op: str, degree: int):
         """Stored rows of op on C^degree, built on first use."""
@@ -601,7 +677,7 @@ class OperatorCache:
                 atoms = s_atoms(grp, chi, degree)
             else:
                 raise ValueError(f"unknown operator {op!r}")
-            self._rows[key] = list(atom_rows(grp, atoms, degree + self.OPS[op]))
+            self._rows[key] = atom_rows(grp, atoms, degree + self.OPS[op], self.tables)
         return self._rows[key]
 
 
@@ -733,6 +809,22 @@ def _sides_equal(tuples, lhs, rhs):
     return None
 
 
+def _tables_differ(group, out_degree, lhs, rhs, memo):
+    """The first support tuple of out_degree at which the tables of the two
+    signed composites differ, or None; memo as for pull_table."""
+    (sign1, pulls1), (sign2, pulls2) = lhs, rhs
+    idx1, coef1, _ = pull_table(group, compose_pulls(*pulls1), out_degree, memo)
+    idx2, coef2, _ = pull_table(group, compose_pulls(*pulls2), out_degree, memo)
+    if sign1 != sign2:  # both +-1: sign1 c1 == sign2 c2 iff c1 == -c2
+        coef2 = tuple([-c for c in coef2])
+    if idx1 == idx2 and coef1 == coef2:
+        return None
+    tuples = full_tuples(group, out_degree)
+    for j, (i1, c1, i2, c2) in enumerate(zip(idx1, coef1, idx2, coef2)):
+        if i1 != i2 or c1 != c2:
+            return tuples[j]
+
+
 def _memoized(pull):
     """pull evaluated at most once per tuple, for as long as the returned
     pull lives."""
@@ -763,7 +855,12 @@ def identity_suite(
     The tuples are those of sample_tuples: every support tuple on a finite
     group, the identity tuple plus `samples` seeded tuples from the window
     on an infinite one.  Each face, degeneracy and lambda atom is built
-    and wrapped once per call and evaluated at most once per tuple.
+    and wrapped once per call.  On a finite group a case compares the
+    tables of its two sides (pull_table), composed from the store's tables
+    without a wrap, and from tables built per call under one, so each
+    atom is pulled once per tuple.  On an infinite group each atom is
+    memoized for the call, so it is evaluated at most once per sampled
+    tuple.
     """
     _check_degree_max(degree_max)
     chi = group.check_weight(chi)
@@ -779,13 +876,15 @@ def identity_suite(
             pool[out_degree] = sample_tuples(group, out_degree, window, samples, seed)
         return pool[out_degree]
 
-    atoms = {}  # (kind, degree, index) -> the atom, wrapped and memoized
+    finite = not group.free_rank
+    tables = operators(group, chi).tables if finite and wrap is None else {}
+    atoms = {}  # (kind, degree, index) -> the atom, wrapped, memoized if infinite
 
     def atom(key, make, *args):
         out = atoms.get(key)
         if out is None:
-            pull = make(*args)
-            out = atoms[key] = _memoized(pull if wrap is None else wrap(pull))
+            pull = make(*args) if wrap is None else wrap(make(*args))
+            out = atoms[key] = pull if finite else _memoized(pull)
         return out
 
     def F(k, i):
@@ -801,7 +900,10 @@ def identity_suite(
 
     def check(name, cases):
         for out_degree, lhs, rhs in cases:
-            bad = _sides_equal(tuples_for(out_degree), lhs, rhs)
+            if finite:
+                bad = _tables_differ(group, out_degree, lhs, rhs, tables)
+            else:
+                bad = _sides_equal(tuples_for(out_degree), lhs, rhs)
             if bad is not None:
                 reports.append(LawReport(name, domain, False, bad))
                 return

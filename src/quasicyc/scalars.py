@@ -625,7 +625,8 @@ def _unit(c, n: int, a: int, b: int) -> Unit:
 
 
 _UNIT_ONE = _unit(1, 1, 0, 0)
-_root_unit = lru_cache(maxsize=4096)(lambda N, k: _unit(1, N, k, 0))
+# zeta_N^0 is the shared one, so identity tests against Unit.one() see it
+_root_unit = lru_cache(maxsize=4096)(lambda N, k: _unit(1, N, k, 0) if k else _UNIT_ONE)
 
 
 @lru_cache(maxsize=4096)

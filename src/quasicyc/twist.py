@@ -42,6 +42,7 @@ from .cyclic import (
     lambda_pull,
     row_counterexample,
     sample_tuples,
+    stored_rows,
 )
 from .groups import GroupSpec, InfiniteGroup, SpecMismatch
 from .scalars import Unit
@@ -272,6 +273,7 @@ def verify_transport(
     # (b) b^F T = T b as operators, T the diagonal rows of the prefactor
     if finite:
         _check_same_group(F, group)
+        rows = stored_rows(group, chi)
         bad = None
         T = [
             [[(i, pref.value(t))] for i, t in enumerate(full_tuples(group, k))]
@@ -279,7 +281,7 @@ def verify_transport(
         ]
         for k in range(degree_max + 1):
             lhs = compose_rows(atom_rows(group, b_atoms(group, chi, k, wrap), k + 1), T[k])
-            rhs = compose_rows(T[k + 1], atom_rows(group, b_atoms(group, chi, k), k + 1))
+            rhs = compose_rows(T[k + 1], rows("b", k))
             bad = row_counterexample(group, k, k + 1, lhs, rhs)
             if bad is not None:
                 break

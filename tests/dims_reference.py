@@ -1,5 +1,7 @@
 """The cohomology_dims that the shared row store replaced, kept as the
-reference, with the dense-input rank_kernel it called.
+reference, with the dense-input rank_kernel it called and the atom_rows
+that pulled every output tuple through every atom, before rows were built
+from pullback tables.
 
 Each call rebuilds its b and lambda - id rows from the atoms; a twisted
 call wraps every atom with twist.conjugator, so each entry is pulled
@@ -8,15 +10,34 @@ hc rank is the rank of the b-images of a kernel basis of lambda - id.
 """
 
 from quasicyc.cyclic import (
+    _index,
     apply_rows,
-    atom_rows,
     b_atoms,
+    full_tuples,
     identity_pull,
     lambda_pull,
     space_dim,
 )
 from quasicyc.linalg import LaurentScalars
 from quasicyc.scalars import LAURENT, RingMismatch, Scalar, Unit
+
+
+def atom_rows(group, atoms, out_degree):
+    """Yield the sparse row [(col, coeff)] of sum(coeff * pull) at each
+    output tuple, in vector order; +1/-1 as ints, other values as they
+    come."""
+    for full in full_tuples(group, out_degree):
+        row = []
+        for coeff, pull in atoms:
+            t_in, c = pull(full)
+            v = c if coeff == 1 else coeff * c
+            if v == 1:
+                row.append((_index(group, t_in[1:]), 1))
+            elif v == -1:
+                row.append((_index(group, t_in[1:]), -1))
+            else:
+                row.append((_index(group, t_in[1:]), v))
+        yield row
 
 
 def _check_field(rows):

@@ -344,3 +344,22 @@ def test_twist_rows_carry_their_domain(capsys, preset, window, pointwise):
     }
     rc2, out2, _ = run(capsys, *args)
     assert rc2 == 0 and out2 == out
+
+
+def test_parser_is_built_once_and_prints_as_a_fresh_one(capsys):
+    calls = [
+        ("verify", "--preset", "octonion", "--suite", "bogus"),
+        *(("verify", "--preset", name, "--suite", "all", "--degree-max", "1", "--window", "1")
+          for name in ("octonion", "torus", "z2_trivial")),
+        ("cohomology", "--preset", "octonion", "--which", "hc"),
+    ]
+    cli._build_parser.cache_clear()
+    shared = [run(capsys, *argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert shared == fresh
+    assert [rc for rc, _, _ in shared] == [2, 0, 0, 0, 0]
+    assert "invalid choice" in shared[0][2]
