@@ -90,35 +90,6 @@ def _els(group: GroupSpec) -> tuple:
     return tuple(group.elements())
 
 
-@lru_cache(maxsize=None)
-def _pos(group: GroupSpec) -> dict:
-    return {g: i for i, g in enumerate(_els(group))}
-
-
-class _LazyChi:
-    """Character values on a group with a free part, in one table keyed by
-    the torsion coordinates, all that chi reads (one entry on Z^s);
-    char_eval serves input the table does not key, such as unreduced."""
-
-    __slots__ = ("_group", "_weight", "_ntor", "_table")
-
-    def __init__(self, group, weight):
-        self._group, self._weight, self._ntor = group, weight, group.torsion_rank
-        free = (0,) * group.free_rank
-        self._table = {
-            tor: group.char_eval(weight, tor + free)
-            for tor in itertools.product(*(range(m) for m in group.cyclic_orders))
-        }
-
-    def __getitem__(self, g):
-        try:
-            if len(g) == self._group.rank:
-                return self._table[g[:self._ntor]]
-        except (KeyError, TypeError):
-            pass
-        return self._group.char_eval(self._weight, g)
-
-
 class _LazyMul:
     """Products on a group with a free part, computed per lookup."""
 
@@ -131,13 +102,19 @@ class _LazyMul:
         return self._group.mul(*key)
 
 
-# Finite groups get eager dicts; on a group with a free part the lazy objects
-# hold at most the torsion order, so these process-wide caches stay bounded.
+# chi reads only the torsion coordinates, so its table is keyed by them on
+# every group: the elements themselves on a finite group, one entry on Z^s;
+# the top face and lambda look up cv[g[:ntor]] on reduced tuples.  Products
+# stay an eager table on a finite group (GroupSpec.mul in its place raised
+# the certs workload's median latency by 27%) and are computed per lookup
+# on a free one, so these process-wide caches stay bounded.
 @lru_cache(maxsize=None)
-def _chi_table(group: GroupSpec, weight: tuple):
-    if group.free_rank:
-        return _LazyChi(group, weight)
-    return {g: group.char_eval(weight, g) for g in _els(group)}
+def _chi_table(group: GroupSpec, weight: tuple) -> dict:
+    free = (0,) * group.free_rank
+    return {
+        tor: group.char_eval(weight, tor + free)
+        for tor in itertools.product(*(range(m) for m in group.cyclic_orders))
+    }
 
 
 @lru_cache(maxsize=None)
@@ -153,30 +130,17 @@ def _inv_table(group: GroupSpec) -> dict:
     return {g: group.inv(g) for g in _els(group)}
 
 
-def _index(group: GroupSpec, tail) -> int:
-    pos = _pos(group)
-    base = len(pos)
-    out = 0
-    for g in tail:
-        out = out * base + pos[g]
-    return out
-
-
 def space_dim(group: GroupSpec, degree: int) -> int:
     return len(_els(group)) ** degree
 
 
-def index_tuples(group: GroupSpec, degree: int):
-    """All (g1..gk) index tuples in vector order."""
-    return itertools.product(_els(group), repeat=degree)
-
-
 @lru_cache(maxsize=128)
 def full_tuples(group: GroupSpec, degree: int) -> tuple:
-    """All support tuples (g0, g1..gk) in vector order, g0 determined."""
+    """All support tuples (g0, g1..gk) in vector order, the tails (g1..gk)
+    in itertools.product order over the elements, g0 determined."""
     mul, inv, e = _mul_table(group), _inv_table(group), group.identity()
     out = []
-    for tail in index_tuples(group, degree):
+    for tail in itertools.product(_els(group), repeat=degree):
         g = e
         for h in tail:
             g = mul[g, h]
@@ -219,14 +183,13 @@ class CyclicCochain:
         return cls(group, chi, degree, vec)
 
     def value(self, gs) -> Scalar:
-        gs = [self.group.reduce(g) for g in gs]
+        gs = tuple(self.group.reduce(g) for g in gs)
         if len(gs) != self.degree + 1:
             raise ValueError(
                 f"need {self.degree + 1} elements for a degree-{self.degree} cochain"
             )
-        if not self.group.is_identity(self.group.mul_all(gs)):
-            return Scalar.zero()
-        return self.vec[_index(self.group, gs[1:])]
+        idx = _positions(self.group, self.degree).get(gs)
+        return Scalar.zero() if idx is None else self.vec[idx]
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.vec)
@@ -269,11 +232,11 @@ class CyclicCochain:
             raise ValueError("cochains live in different spaces")
 
     def to_json(self) -> dict:
-        entries = []
-        for tail in index_tuples(self.group, self.degree):
-            v = self.vec[_index(self.group, tail)]
-            if not v.is_zero():
-                entries.append([[list(g) for g in tail], v.to_text()])
+        entries = [
+            [[list(g) for g in full[1:]], v.to_text()]
+            for full, v in zip(full_tuples(self.group, self.degree), self.vec)
+            if not v.is_zero()
+        ]
         return {
             "group": {
                 "cyclic_orders": list(self.group.cyclic_orders),
@@ -286,15 +249,46 @@ class CyclicCochain:
 
     @classmethod
     def from_json(cls, data: dict) -> "CyclicCochain":
+        """The cochain of a to_json object.  A missing or mistyped field, a
+        tail of the wrong length or a repeated support tuple raises a
+        ValueError naming the field."""
+        from .presets import FieldError, _field, _int_list, _typed
         from .scalars import parse_scalar
 
-        group = GroupSpec(
-            tuple(data["group"]["cyclic_orders"]), data["group"].get("free_rank", 0)
-        )
-        phi = cls.zero(group, tuple(data["chi"]), data["degree"])
-        for tail, text in data["entries"]:
-            idx = _index(group, tuple(group.reduce(g) for g in tail))
-            phi.vec[idx] = parse_scalar(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"a cochain must be a JSON object, got {type(data).__name__}")
+        try:
+            grp = _field(data, "group", dict)
+            group = GroupSpec(
+                _int_list(_field(grp, "group.cyclic_orders", list), "group.cyclic_orders"),
+                _field(grp, "group.free_rank", int, 0),
+            )
+            degree = _field(data, "degree", int)
+            if degree < 0:
+                raise FieldError(f"field 'degree' must be >= 0, got {degree}")
+            phi = cls.zero(group, _int_list(_field(data, "chi", list), "chi"), degree)
+            pos, seen = _positions(group, degree), {}
+            for i, entry in enumerate(_field(data, "entries", list)):
+                path = f"entries[{i}]"
+                if len(_typed(entry, path, list)) != 2:
+                    raise FieldError(f"field {path!r} must be a [tail, scalar] pair")
+                tail = []
+                for j, g in enumerate(_typed(entry[0], f"{path}[0]", list)):
+                    g = _int_list(g, f"{path}[0][{j}]")
+                    if len(g) != group.rank:
+                        raise FieldError(
+                            f"field '{path}[0][{j}]' must have {group.rank} coordinates"
+                        )
+                    tail.append(group.reduce(g))
+                if len(tail) != degree:
+                    raise FieldError(f"field '{path}[0]' must list {degree} elements")
+                idx = pos[(group.inv(group.mul_all(tail)),) + tuple(tail)]
+                if idx in seen:
+                    raise FieldError(f"field {path!r} repeats the tuple of entries[{seen[idx]}]")
+                seen[idx] = i
+                phi.vec[idx] = parse_scalar(_typed(entry[1], f"{path}[1]", str))
+        except FieldError as exc:
+            raise FieldError(f"cochain {exc}") from None
         return phi
 
 
@@ -320,10 +314,10 @@ def face_pull(group: GroupSpec, chi, k: int, i: int):
         def pull(t):
             return t[:i] + (mul[t[i], t[i + 1]],) + t[i + 2:], _ONE
     else:
-        cv = _chi_table(group, chi)
+        cv, ntor = _chi_table(group, chi), group.torsion_rank
 
         def pull(t):
-            return (mul[t[k + 1], t[0]],) + t[1:k + 1], cv[t[k + 1]]
+            return (mul[t[k + 1], t[0]],) + t[1:k + 1], cv[t[k + 1][:ntor]]
     return pull
 
 
@@ -342,21 +336,15 @@ def degeneracy_pull(group: GroupSpec, k: int, i: int):
 
 @lru_cache(maxsize=None)
 def lambda_pull(group: GroupSpec, chi, k: int):
-    """Pullback of the signed cyclic operator on C^k."""
+    """Pullback of the signed cyclic operator on C^k: the sign (-1)^k is
+    read from a negated copy of the character table for odd k."""
     cv = _chi_table(group, chi)
-    if k % 2 == 0:
-        def pull(t):
-            return (t[k],) + t[:k], cv[t[k]]
-        return pull
-    if not group.free_rank:
-        signed = {g: -c for g, c in cv.items()}
-
-        def pull(t):
-            return (t[k],) + t[:k], signed[t[k]]
-        return pull
+    if k % 2:
+        cv = {g: -c for g, c in cv.items()}
+    ntor = group.torsion_rank
 
     def pull(t):
-        return (t[k],) + t[:k], -cv[t[k]]
+        return (t[k],) + t[:k], cv[t[k][:ntor]]
     return pull
 
 
@@ -463,27 +451,16 @@ def apply_lambda(phi: CyclicCochain) -> CyclicCochain:
     return _apply_stored(phi, "lambda")
 
 
-def extra_degeneracy_pull(group, chi, k: int):
-    """Pullback of s_{-1} = (-1)^n s_0 lambda^{-1} on C^k, n = k-1."""
-    sign = -1 if (k - 1) % 2 else 1
-    pull = compose_pulls(
-        degeneracy_pull(group, k - 1, 0), lambda_power_pull(group, chi, k, k)
-    )
-    if sign == 1:
-        return pull
-    return lambda t: _negate(pull(t))
-
-
-def _negate(res):
-    t, c = res
-    return t, -c
-
-
 def apply_extra_degeneracy(phi: CyclicCochain) -> CyclicCochain:
-    if phi.degree < 1:
+    """s_{-1} = (-1)^n s_0 lambda^{-1} on C^k, n = k-1: one atom, the sign
+    its coefficient and lambda^{-1} = lambda^k."""
+    k = phi.degree
+    if k < 1:
         raise DegreeTooLow("extra degeneracy needs degree >= 1")
-    pull = extra_degeneracy_pull(phi.group, phi.chi, phi.degree)
-    return _apply_atoms(phi, [(1, pull)], phi.degree - 1)
+    pull = compose_pulls(
+        degeneracy_pull(phi.group, k - 1, 0), lambda_power_pull(phi.group, phi.chi, k, k)
+    )
+    return _apply_atoms(phi, [((-1) ** (k - 1), pull)], k - 1)
 
 
 def b_atoms(group, chi, k: int, wrap=None):

@@ -108,34 +108,47 @@ _MISSING = object()
 _JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
 
 
+class FieldError(ValueError):
+    """A JSON field that is missing or malformed, named by its path; the
+    loader of a document prefixes the document's kind to the message.
+    _field, _typed and _int_list check the preset and cochain files."""
+
+
 def _field(obj: dict, path: str, kind, default=_MISSING):
-    """The entry of obj named by the last key of a dotted preset path; it
-    must have the given JSON type, and may be absent only given a default."""
+    """The entry of obj named by the last key of a dotted path; it must
+    have the given JSON type, and may be absent only given a default."""
     key = path.rpartition(".")[2]
     if key not in obj:
         if default is _MISSING:
-            raise ValueError(f"preset field {path!r} is missing")
+            raise FieldError(f"field {path!r} is missing")
         return default
     return _typed(obj[key], path, kind)
 
 
 def _typed(value, path: str, kind):
-    """value, which must have the given JSON type at that preset path."""
+    """value, which must have the given JSON type at that path."""
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValueError(
-            f"preset field {path!r} must be {_JSON_KINDS[kind]}, got {type(value).__name__}"
+        raise FieldError(
+            f"field {path!r} must be {_JSON_KINDS[kind]}, got {type(value).__name__}"
         )
     return value
 
 
 def _int_list(value, path: str) -> tuple:
-    """A preset list of integers, as a tuple; a bad entry is named by index."""
+    """A JSON list of integers, as a tuple; a bad entry is named by index."""
     return tuple(_typed(v, f"{path}[{i}]", int) for i, v in enumerate(_typed(value, path, list)))
 
 
 def from_dict(data: dict) -> Preset:
     if not isinstance(data, dict):
         raise ValueError(f"a preset must be a JSON object, got {type(data).__name__}")
+    try:
+        return _from_fields(data)
+    except FieldError as exc:
+        raise FieldError(f"preset {exc}") from None
+
+
+def _from_fields(data: dict) -> Preset:
     grp = _field(data, "group", dict)
     group = GroupSpec(
         _int_list(_field(grp, "group.cyclic_orders", list, []), "group.cyclic_orders"),
@@ -158,7 +171,7 @@ def from_dict(data: dict) -> Preset:
         for i, row in enumerate(_field(cf, "cochain_F.table", list)):
             path = f"cochain_F.table[{i}]"
             if len(_typed(row, path, list)) != 3:
-                raise ValueError(f"preset field {path!r} must be a [g, h, scalar] triple")
+                raise FieldError(f"field {path!r} must be a [g, h, scalar] triple")
             g, h = _int_list(row[0], f"{path}[0]"), _int_list(row[1], f"{path}[1]")
             entries.append((g, h, parse_scalar(_typed(row[2], f"{path}[2]", str), scalars, order)))
         cochain_spec = ("table", tuple(entries))

@@ -9,8 +9,9 @@ through P and P^{-1}; rows are expanded to dense Scalar/Unit rows; and the
 hc rank is the rank of the b-images of a kernel basis of lambda - id.
 """
 
+from functools import lru_cache
+
 from quasicyc.cyclic import (
-    _index,
     apply_rows,
     b_atoms,
     full_tuples,
@@ -20,6 +21,21 @@ from quasicyc.cyclic import (
 )
 from quasicyc.linalg import LaurentScalars
 from quasicyc.scalars import LAURENT, RingMismatch, Scalar, Unit
+
+
+@lru_cache(maxsize=None)
+def _places(group) -> dict:
+    return {g: i for i, g in enumerate(group.elements())}
+
+
+def _index(group, tail) -> int:
+    """Vector index of a support tuple's tail (g1..gk): its digits in base
+    |G|, each element's place in group.elements()."""
+    pos = _places(group)
+    out = 0
+    for g in tail:
+        out = out * len(pos) + pos[g]
+    return out
 
 
 def atom_rows(group, atoms, out_degree):

@@ -309,6 +309,55 @@ def test_malformed_preset_json_exits_2(tmp_path, capsys, data, message):
     assert err == f"error: {message}\n"
 
 
+OCT_COCHAIN = {
+    "group": {"cyclic_orders": [2, 2, 2], "free_rank": 0}, "chi": [1, 1, 1], "degree": 2,
+    "entries": [[[[1, 0, 0], [0, 1, 0]], "5"]],
+}
+
+
+@pytest.mark.parametrize("data, message", [
+    (
+        {**OCT_COCHAIN, "entries": [[[[1, 0, 0]], "5"]]},
+        "cochain field 'entries[0][0]' must list 2 elements",
+    ),
+    (
+        {**OCT_COCHAIN, "entries": [[[[1, 0, 0], [0, 1, 0], [0, 0, 1]], "5"]]},
+        "cochain field 'entries[0][0]' must list 2 elements",
+    ),
+    (_without(OCT_COCHAIN, "degree"), "cochain field 'degree' is missing"),
+    (
+        {**OCT_COCHAIN, "entries": [[[[1, 0, 0], [0, 1, 0]], 5]]},
+        "cochain field 'entries[0][1]' must be a string, got int",
+    ),
+    ([OCT_COCHAIN], "a cochain must be a JSON object, got list"),
+    ({**OCT_COCHAIN, "degree": -1}, "cochain field 'degree' must be >= 0, got -1"),
+    (
+        {**OCT_COCHAIN, "entries": OCT_COCHAIN["entries"] + [[[[3, 0, 0], [0, 1, 2]], "1"]]},
+        "cochain field 'entries[1]' repeats the tuple of entries[0]",
+    ),
+    (
+        {**OCT_COCHAIN, "entries": [[[[1, 0], [0, 1, 0]], "5"]]},
+        "cochain field 'entries[0][0][0]' must have 3 coordinates",
+    ),
+    (
+        {**OCT_COCHAIN, "entries": [[[[1, 0, 0], [0, 1, 0]]]]},
+        "cochain field 'entries[0]' must be a [tail, scalar] pair",
+    ),
+    ({**OCT_COCHAIN, "chi": ["1", 1, 1]}, "cochain field 'chi[0]' must be an integer, got str"),
+], ids=["short_tail", "long_tail", "no_degree", "scalar_int", "top_level_list",
+        "negative_degree", "repeated_tuple", "coordinate_count", "entry_single",
+        "chi_entry_string"])
+def test_malformed_cochain_json_exits_2(tmp_path, capsys, data, message):
+    src, dst = tmp_path / "phi.json", tmp_path / "out.json"
+    src.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "twist", "--preset", "octonion", "--in", str(src),
+                       "--out", str(dst))
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not dst.exists()
+
+
 def test_closed_form_follows_the_calculus_not_the_name(tmp_path, capsys):
     # a preset named "octonion" on Z2^2 takes the general closed form
     path = write_preset(tmp_path, {

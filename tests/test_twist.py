@@ -153,12 +153,14 @@ def test_free_group_tables_stay_empty():
     for seed in range(20):
         cert = verify_transport(F, (), tor.group, 2, window=2, samples=20, seed=seed)
         assert certificate_ok(cert)
-    # the process-wide caches hold one stateless object per free group,
-    # not a dict of every product or character value computed so far
-    for table in (_mul_table(GroupSpec((), 2)), _chi_table(GroupSpec((), 2), ())):
-        assert not isinstance(table, dict) and not hasattr(table, "__dict__")
-        assert table._group == GroupSpec((), 2)
-    assert _mul_table(GroupSpec((), 2))[(1, -2), (3, 5)] == (4, 3)
+    # the process-wide caches hold one stateless product object per free
+    # group, not a dict of every product computed so far, and a character
+    # table keyed by the torsion coordinates: one entry on Z^2
+    table = _mul_table(GroupSpec((), 2))
+    assert not isinstance(table, dict) and not hasattr(table, "__dict__")
+    assert table._group == GroupSpec((), 2)
+    assert table[(1, -2), (3, 5)] == (4, 3)
+    assert len(_chi_table(GroupSpec((), 2), ())) == 1
 
 
 def test_verify_transport_infinite_needs_window():
