@@ -55,6 +55,7 @@ from .scalars import RingMismatch, Scalar
 from .twist import (
     TransportPrefactor,
     _timestamp,
+    cert_row,
     certificate_ok,
     transport,
     verify_transport,
@@ -74,23 +75,18 @@ def _domain_for(pre: Preset, window: int):
 
 
 def _law_rows(prefix: str, reports) -> list[dict]:
-    rows = []
-    for rep in reports:
-        row = {
-            "name": f"{prefix}.{rep.law}",
-            "status": "pass" if rep.holds else "fail",
-            "domain": rep.domain,
-        }
-        if not rep.holds:
-            row["counterexample"] = repr(rep.counterexample) + (
-                f" ({rep.detail})" if rep.detail else ""
-            )
-        rows.append(row)
-    return rows
+    return [
+        cert_row(
+            f"{prefix}.{rep.law}", "pass" if rep.holds else "fail", rep.domain,
+            None if rep.holds
+            else repr(rep.counterexample) + (f" ({rep.detail})" if rep.detail else ""),
+        )
+        for rep in reports
+    ]
 
 
 def _skip_rows(prefix: str, names, reason: str) -> list[dict]:
-    return [{"name": f"{prefix}.{n}", "status": f"skipped: {reason}"} for n in names]
+    return [cert_row(f"{prefix}.{n}", f"skipped: {reason}") for n in names]
 
 
 # -- suites --------------------------------------------------------------------
@@ -108,11 +104,8 @@ def _suite_cochain(pre: Preset, args) -> list[dict]:
     # whether F itself is a 2-cocycle (and R a bicharacter) varies by preset
     for x, law in ((F, "two_cocycle"), (braiding_R(F), "bicharacter")):
         rep = check_cochain_laws(x, law, domain)
-        rows.append({
-            "name": f"cochain.{law}",
-            "status": "holds" if rep.holds else "does not hold",
-            "domain": rep.domain,
-        })
+        status = "holds" if rep.holds else "does not hold"
+        rows.append(cert_row(f"cochain.{law}", status, rep.domain))
     return rows
 
 
@@ -156,11 +149,7 @@ def _suite_cyclic(pre: Preset, args) -> list[dict]:
             "needs a finite group",
         )
         return rows
-    # the pointwise suite has a lambda_order row of its own
-    rows += _law_rows("cyclic", [
-        replace(rep, law="mixed_lambda_order") if rep.law == "lambda_order" else rep
-        for rep in mixed_complex_report(grp, chi, args.degree_max)
-    ])
+    rows += _law_rows("cyclic", mixed_complex_report(grp, chi, args.degree_max))
     rows += _law_rows("cyclic", periodicity_report(
         grp, chi, min(args.degree_max, PERIODICITY_DEGREE_CAP),
     ))

@@ -111,7 +111,7 @@ _JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an inte
 class FieldError(ValueError):
     """A JSON field that is missing or malformed, named by its path; the
     loader of a document prefixes the document's kind to the message.
-    _field, _typed and _int_list check the preset and cochain files."""
+    _field, _typed, _int_list and _scalar check the preset and cochain files."""
 
 
 def _field(obj: dict, path: str, kind, default=_MISSING):
@@ -137,6 +137,17 @@ def _typed(value, path: str, kind):
 def _int_list(value, path: str) -> tuple:
     """A JSON list of integers, as a tuple; a bad entry is named by index."""
     return tuple(_typed(v, f"{path}[{i}]", int) for i, v in enumerate(_typed(value, path, list)))
+
+
+def _scalar(value, path: str, *ring):
+    """The scalar text at that path, parsed by parse_scalar in ring."""
+    text = _typed(value, path, str)
+    try:
+        return parse_scalar(text, *ring)
+    except ZeroDivisionError:
+        raise FieldError(f"field {path!r} divides by zero: {text!r}") from None
+    except ValueError as exc:
+        raise FieldError(f"field {path!r} is not a scalar: {exc}") from None
 
 
 def from_dict(data: dict) -> Preset:
@@ -173,7 +184,7 @@ def _from_fields(data: dict) -> Preset:
             if len(_typed(row, path, list)) != 3:
                 raise FieldError(f"field {path!r} must be a [g, h, scalar] triple")
             g, h = _int_list(row[0], f"{path}[0]"), _int_list(row[1], f"{path}[1]")
-            entries.append((g, h, parse_scalar(_typed(row[2], f"{path}[2]", str), scalars, order)))
+            entries.append((g, h, _scalar(row[2], f"{path}[2]", scalars, order)))
         cochain_spec = ("table", tuple(entries))
     else:
         raise ValueError("cochain_F needs an expr or a table")

@@ -13,7 +13,8 @@ so a conjugated pull inverts each input tuple's prefactor once per memo.
 On stored operator rows conjugation is a diagonal scaling: row_conjugator
 multiplies row r by P at its output tuple and column col by P^{-1} at its
 input tuple, and cohomology_dims(twist=) and apply_b/lambda_twisted read
-the stored rows scaled that way.
+the stored rows scaled that way; verify_transport decides b^F T = T b on
+those b rows.  Conjugated pulls (conjugator) serve the pointwise checks.
 Conjugation is the normative definition: the conjugated module satisfies
 every cocyclic identity automatically, so identity checks on it exercise
 the transport code, not the algebra.  The group-like specializations of
@@ -33,8 +34,6 @@ from .cochains import Cochain2, braiding_R, coboundary_phi
 from .cyclic import (
     CyclicCochain,
     _apply_stored,
-    atom_rows,
-    b_atoms,
     compose_rows,
     face_pull,
     full_tuples,
@@ -122,18 +121,17 @@ def _conjugator(pref: TransportPrefactor):
     return wrap
 
 
-def row_conjugator(F: Cochain2, group: GroupSpec):
+def row_conjugator(pref: TransportPrefactor, group: GroupSpec):
     """conj(rows, out_degree, in_degree) -> the rows of P X P^{-1}, for the
     rows of an operator X: C^in_degree -> C^out_degree.
 
     This is conjugation written on rows, a diagonal scaling: the entry
     (r, col, c) becomes P(out_r) c P^{-1}(in_col), out_r and in_col the
-    support tuples of row r and column col.  P and P^{-1} come from one
-    TransportPrefactor and are listed once per degree and side; a +-1
-    entry takes P^{-1} or -P^{-1} from a list, one product per entry.
+    support tuples of row r and column col.  P and P^{-1} come from pref
+    and are listed once per degree and side; a +-1 entry takes P^{-1} or
+    -P^{-1} from a list, one product per entry.
     """
-    _check_same_group(F, group)
-    pref = TransportPrefactor(F)
+    _check_same_group(pref.F, group)
     left, right = {}, {}  # degree -> P; degree -> {1: P^{-1}, -1: -P^{-1}}
 
     def conj(rows, out_degree, in_degree):
@@ -231,8 +229,9 @@ def verify_transport(
     (a) conjugated operators satisfy the cocyclic identities,
     (b) transport intertwines the untwisted and conjugated coboundaries:
         b^F T = T b on C^k for every k <= degree_max, decided exactly on a
-        finite group by composing operator rows with the diagonal rows of
-        T, so a pass holds for every cochain; skipped on infinite groups;
+        finite group on the rows that cohomology_dims(twist=) eliminates,
+        the stored b rows scaled by row_conjugator, composed with the
+        diagonal rows of T; skipped on infinite groups;
     (c) the twisted-calculus character equals transport of the untwisted one,
     (d) direct group-like evaluators vs conjugated operators, informational.
     Finite groups run exhaustively; infinite ones need a window bound.
@@ -247,15 +246,10 @@ def verify_transport(
     identities = []
 
     def add(name, status, counterexample=None, domain=pointwise):
-        entry = {"name": name, "status": status}
-        if domain is not None:
-            entry["domain"] = domain
-        if counterexample is not None:
-            entry["counterexample"] = counterexample
-        identities.append(entry)
+        identities.append(cert_row(name, status, domain, counterexample))
 
-    # one prefactor memo for the whole certificate: (a), (b) and (d) read
-    # the same conjugated operators, (b) and (c) the same transport
+    # one prefactor memo for the whole certificate: (a) and (d) read the
+    # same conjugated pulls, (b) rows scaled by it, (c) the same transport
     pref = TransportPrefactor(F)
     wrap = _conjugator(pref)
 
@@ -272,15 +266,14 @@ def verify_transport(
 
     # (b) b^F T = T b as operators, T the diagonal rows of the prefactor
     if finite:
-        _check_same_group(F, group)
-        rows = stored_rows(group, chi)
+        rows, conj = stored_rows(group, chi), row_conjugator(pref, group)
         bad = None
         T = [
             [[(i, pref.value(t))] for i, t in enumerate(full_tuples(group, k))]
             for k in range(degree_max + 2)
         ]
         for k in range(degree_max + 1):
-            lhs = compose_rows(atom_rows(group, b_atoms(group, chi, k, wrap), k + 1), T[k])
+            lhs = compose_rows(conj(rows("b", k), k + 1, k), T[k])
             rhs = compose_rows(T[k + 1], rows("b", k))
             bad = row_counterexample(group, k, k + 1, lhs, rhs)
             if bad is not None:
@@ -329,7 +322,17 @@ def verify_transport(
     }
 
 
+def cert_row(name: str, status: str, domain=None, counterexample=None) -> dict:
+    """One certificate row; domain and counterexample are listed when given."""
+    row = {"name": name, "status": status}
+    if domain is not None:
+        row["domain"] = domain
+    if counterexample is not None:
+        row["counterexample"] = counterexample
+    return row
+
+
 def certificate_ok(cert: dict) -> bool:
     """True when no asserted identity failed; informational rows are
-    agree/disagree and never fail a certificate."""
+    agree/disagree or holds/does not hold and never fail a certificate."""
     return all(row["status"] != "fail" for row in cert["identities"])

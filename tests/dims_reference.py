@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from quasicyc.cyclic import (
     apply_rows,
-    b_atoms,
+    b_atoms as plain_b_atoms,
     full_tuples,
     identity_pull,
     lambda_pull,
@@ -148,6 +148,12 @@ def dense(rows, dim):
             d[col] = c if d[col] is zero else d[col] + c
         out.append(d)
     return out
+
+
+def b_atoms(group, chi, k, wrap=None):
+    """cyclic.b_atoms with each pull wrapped, as the reference built them."""
+    atoms = plain_b_atoms(group, chi, k)
+    return atoms if wrap is None else [(c, wrap(pull)) for c, pull in atoms]
 
 
 def lambda_minus_id_atoms(group, chi, k, wrap=None):

@@ -75,7 +75,8 @@ def sampled_mixed_complex_report(group, chi, degree_max, count=50, seed=0) -> li
 
 def sampled_transport_intertwines_b(F, chi, group, degree_max, seed=0, count=100):
     """None when b^F(T phi) = T(b phi) on `count` random cochains of random
-    degrees <= degree_max, else the degree of the first that failed."""
+    degrees <= degree_max, else the degree of the first that failed; b^F
+    is the conjugated pulls of b's atoms."""
     chi = group.check_weight(chi)
     pref = TransportPrefactor(F)
     wrap = twist._conjugator(pref)  # looked up per call, as verify_transport does
@@ -83,7 +84,8 @@ def sampled_transport_intertwines_b(F, chi, group, degree_max, seed=0, count=100
     for _ in range(count):
         k = rng.randint(0, degree_max)
         phi = random_cochain(group, chi, k, rng)
-        lhs = _apply_atoms(_scale(phi, pref.value), b_atoms(group, chi, k, wrap=wrap), k + 1)
+        atoms = [(c, wrap(pull)) for c, pull in b_atoms(group, chi, k)]
+        lhs = _apply_atoms(_scale(phi, pref.value), atoms, k + 1)
         rhs = _scale(apply_b(phi), pref.value)
         if not (lhs - rhs).is_zero():
             return f"degree {k} random cochain"

@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 
 import pytest
 
 from quasicyc import cli
 from quasicyc.calculus import character_closed
-from quasicyc.cyclic import CyclicCochain, full_tuples
-from quasicyc.presets import builtin
+from quasicyc.cyclic import MAX_FILE_DIM, CyclicCochain, full_tuples
+from quasicyc.presets import FieldError, builtin
 from quasicyc.twist import transport
 
 
@@ -127,7 +128,8 @@ def test_verify_all_row_names_are_unique(capsys, preset):
                if r["name"].startswith(suites) and not r["status"].startswith("skipped"))
     assert "cochain.unital" in names and "cochain.phi_unital" in names
     if preset != "torus":
-        assert {"cyclic.lambda_order", "cyclic.mixed_lambda_order"} <= set(names)
+        # lambda^{k+1} = id is decided once, by the pointwise suite
+        assert "cyclic.lambda_order" in names and "cyclic.mixed_lambda_order" not in names
 
 
 def test_verify_single_suite_torus_skips_finite_only_checks(capsys):
@@ -298,9 +300,18 @@ def _without(d, key):
         {**Z2_PRESET, "cochain_F": {"table": [[[0], [1], 1]]}},
         "preset field 'cochain_F.table[0][2]' must be a string, got int",
     ),
+    (
+        {**Z2_PRESET, "cochain_F": {"table": [[[1], [1], "1/0"]]}},
+        "preset field 'cochain_F.table[0][2]' divides by zero: '1/0'",
+    ),
+    (
+        {**Z2_PRESET, "cochain_F": {"table": [[[1], [1], "abc"]]}},
+        "preset field 'cochain_F.table[0][2]' is not a scalar: Invalid literal for Fraction: 'abc'",
+    ),
 ], ids=["no_scalars", "group_list", "order_string", "top_level_list", "no_order",
         "order_entry_string", "weight_not_list", "weight_entry_bool", "ribbon_entry_string",
-        "table_row_pair", "table_coordinate_string", "table_scalar_int"])
+        "table_row_pair", "table_coordinate_string", "table_scalar_int",
+        "table_scalar_zero_division", "table_scalar_unparsed"])
 def test_malformed_preset_json_exits_2(tmp_path, capsys, data, message):
     path = write_preset(tmp_path, data)
     rc, out, err = run(capsys, "verify", "--preset", path, "--suite", "cochain")
@@ -344,9 +355,21 @@ OCT_COCHAIN = {
         "cochain field 'entries[0]' must be a [tail, scalar] pair",
     ),
     ({**OCT_COCHAIN, "chi": ["1", 1, 1]}, "cochain field 'chi[0]' must be an integer, got str"),
+    (
+        {**OCT_COCHAIN, "entries": [[[[1, 0, 0], [0, 1, 0]], "1/0"]]},
+        "cochain field 'entries[0][1]' divides by zero: '1/0'",
+    ),
+    (
+        {**OCT_COCHAIN, "entries": [[[[1, 0, 0], [0, 1, 0]], "abc"]]},
+        "cochain field 'entries[0][1]' is not a scalar: Invalid literal for Fraction: 'abc'",
+    ),
+    (
+        {**OCT_COCHAIN, "degree": 12, "entries": []},
+        "cochain field 'degree' 12 on a group of order 8 exceeds |G|^max(degree, 2) <= 262144",
+    ),
 ], ids=["short_tail", "long_tail", "no_degree", "scalar_int", "top_level_list",
         "negative_degree", "repeated_tuple", "coordinate_count", "entry_single",
-        "chi_entry_string"])
+        "chi_entry_string", "scalar_zero_division", "scalar_unparsed", "degree_too_large"])
 def test_malformed_cochain_json_exits_2(tmp_path, capsys, data, message):
     src, dst = tmp_path / "phi.json", tmp_path / "out.json"
     src.write_text(json.dumps(data))
@@ -356,6 +379,20 @@ def test_malformed_cochain_json_exits_2(tmp_path, capsys, data, message):
     assert out == ""
     assert err == f"error: {message}\n"
     assert not dst.exists()
+
+
+@pytest.mark.parametrize("orders, degree", [([2, 2, 2], 12), ([2, 2, 2], 10**9), ([600], 0)])
+def test_oversized_cochain_file_is_rejected_before_allocating(orders, degree):
+    data = {"group": {"cyclic_orders": orders}, "chi": [0] * len(orders),
+            "degree": degree, "entries": []}
+    tracemalloc.start()
+    try:
+        with pytest.raises(FieldError, match=f"<= {MAX_FILE_DIM}$"):
+            CyclicCochain.from_json(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_closed_form_follows_the_calculus_not_the_name(tmp_path, capsys):

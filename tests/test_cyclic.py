@@ -242,7 +242,7 @@ def test_mixed_complex_report():
 
     for chi in (TRIV, SIGN):
         reps = mixed_complex_report(Z2, chi, 2, count=10, seed=1)
-        assert len(reps) == 5
+        assert [r.law for r in reps] == ["b_squared", "B_squared", "bB_plus_Bb", "N_lambda"]
         for rep in reps:
             assert rep.holds, str(rep)
 

@@ -1,6 +1,7 @@
 """The exact mixed-complex and transport laws, decided by composing operator
 rows, against the sampled checks they replaced (sampled_reference), and
-under planted bugs that each law must catch."""
+under planted bugs that each law must catch.  lambda^(k+1) = id is decided
+by identity_suite alone, so its planted bug is checked there."""
 
 import ast
 import random
@@ -9,11 +10,14 @@ import re
 import pytest
 
 from quasicyc import cyclic, twist
+from quasicyc.cochains import Cochain2
 from quasicyc.cyclic import (
     OperatorCache,
     apply_rows,
+    cohomology_dims,
     compose_rows,
     full_tuples,
+    identity_suite,
     mixed_complex_report,
     space_dim,
 )
@@ -55,8 +59,10 @@ def _applied(rows, vec, zero):
 def test_exact_mixed_report_agrees_with_sampled(group, dmax, chi):
     exact = mixed_complex_report(group, chi, dmax)
     sampled = sampled_mixed_complex_report(group, chi, dmax, count=8, seed=3)
-    assert [r.law for r in exact] == list(MIXED_LAWS)
-    assert [(r.law, r.holds) for r in exact] == [(r.law, r.holds) for r in sampled]
+    # the sampled reference also drew lambda_order, now identity_suite's alone
+    laws = [law for law in MIXED_LAWS if law != "lambda_order"]
+    assert [r.law for r in exact] == laws
+    assert [(r.law, r.holds) for r in exact] == [(r.law, r.holds) for r in sampled if r.law in laws]
     assert all(r.holds for r in exact)
     assert exact[0].domain == f"exact: every cochain, degrees <= {dmax}"
 
@@ -74,8 +80,6 @@ def test_exact_report_ignores_count_and_seed():
 ])
 def test_exact_intertwining_agrees_with_sampled(F, chi, group, dmax):
     if F is None:
-        from quasicyc.cochains import Cochain2
-
         F = Cochain2.from_expr(group, ("root_of_unity", group.exponent), "i1*j1")
     cert = verify_transport(F, chi, group, dmax)
     rows = {r["name"]: r["status"] for r in cert["identities"]}
@@ -146,8 +150,8 @@ def test_B_sign_flip_is_caught(monkeypatch):
 def test_swapped_face_index_is_caught(monkeypatch):
     orig = cyclic.b_atoms
 
-    def swapped(group, chi, k, wrap=None):
-        atoms = orig(group, chi, k, wrap)
+    def swapped(group, chi, k):
+        atoms = orig(group, chi, k)
         # d_0 and d_1 trade places, each keeping the other's sign
         (s0, p0), (s1, p1) = atoms[:2]
         return [(s0, p1), (s1, p0)] + atoms[2:]
@@ -175,8 +179,8 @@ def test_lambda_sign_error_is_caught(monkeypatch):
         return wrong
 
     monkeypatch.setattr(cyclic, "lambda_pull", missigned)
-    fails = _failing(mixed_complex_report(GroupSpec((2,)), (1,), 2))
-    assert fails["lambda_order"] == "degree 0 output ((0,),) input ((0,),)"
+    fails = _failing(identity_suite(GroupSpec((2,)), (1,), 2))
+    assert fails["lambda_order"] == ((0,),)
     assert "lambda_order" in _failing(sampled_mixed_complex_report(GroupSpec((2,)), (1,), 2, count=5))
 
 
@@ -200,8 +204,41 @@ def test_conjugator_skipping_inverse_is_caught(monkeypatch):
     monkeypatch.setattr(twist, "_conjugator", broken)
     cert = verify_transport(OCT_F, OCT_CHI, E3, 2)
     assert not certificate_ok(cert)
-    row = next(r for r in cert["identities"] if r["name"] == "transport_intertwines_b")
-    assert row["status"] == "fail"
-    k, out, inp = _degree_and_tuples(row["counterexample"])
-    assert (k, len(out), inp) == (1, 3, skipped)
+    status = {r["name"]: r["status"] for r in cert["identities"]}
+    # part (a) reads the conjugated pulls; part (b) reads the stored rows
+    # scaled by row_conjugator, which the broken pulls do not touch
+    failed = {name for name, st in status.items() if st == "fail"}
+    assert failed == {
+        f"conjugated_{law}" for law in ("face_face", "deg_face", "lambda_face", "lambda_deg")
+    }
+    assert status["transport_intertwines_b"] == "pass"
     assert sampled_transport_intertwines_b(OCT_F, OCT_CHI, E3, 2, seed=0) is not None
+
+
+def _inverse_row_conjugator(pref, group):
+    """row_conjugator with P and P^{-1} swapped: rows of P^{-1} X P."""
+    def conj(rows, out_degree, in_degree):
+        outs, ins = full_tuples(group, out_degree), full_tuples(group, in_degree)
+        return [
+            [(col, pref.inverse_value(outs[r]) * pref.value(ins[col]) * c) for col, c in row]
+            for r, row in enumerate(rows)
+        ]
+
+    return conj
+
+
+def test_inverse_row_scaling_is_caught(monkeypatch):
+    # on Z3 P^{-1} != P; on the octonions P = P^{-1}, so they cannot show it
+    group, chi = GroupSpec((3,)), (1,)
+    F = Cochain2.from_expr(group, ("root_of_unity", 3), "i1*i1*j1")
+    dims = [cohomology_dims(group, chi, 3, which, twist=F) for which in ("hh", "hc")]
+    monkeypatch.setattr(twist, "row_conjugator", _inverse_row_conjugator)
+    # an invertible row and column scaling keeps every rank, so dims alone
+    # cannot see it ...
+    assert [cohomology_dims(group, chi, 3, which, twist=F) for which in ("hh", "hc")] == dims
+    # ... but part (b) reads the rows dims eliminates
+    cert = verify_transport(F, chi, group, 2)
+    failed = [r for r in cert["identities"] if r["status"] == "fail"]
+    assert [r["name"] for r in failed] == ["transport_intertwines_b"]
+    k, out, inp = _degree_and_tuples(failed[0]["counterexample"])
+    assert (len(out), len(inp)) == (k + 2, k + 1)
