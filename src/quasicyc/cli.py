@@ -244,10 +244,8 @@ def _cmd_character(pre: Preset, args) -> int:
     F = pre.cochain()
     if not args.closed_form:
         val = character_direct(spec, gs, F=F if args.twisted else None)
-    elif spec.kind == "derivations":
-        val = character_closed(spec, "torus_twisted" if args.twisted else "torus", gs)
     else:
-        val = character_closed(spec, "general", gs)
+        val = character_closed(spec, "torus" if spec.kind == "derivations" else "general", gs)
         if args.twisted:
             val = TransportPrefactor(F).value(tuple(grp.reduce(g) for g in gs)) * val
     print(val.render())

@@ -5,7 +5,10 @@ A Scalar is a tagged value in one of:
   * the rationals Q (arbitrary precision, lowest terms),
   * a cyclotomic field Q(zeta_N), stored on the power basis
     zeta^0 .. zeta^{phi(N)-1} fully reduced modulo the N-th cyclotomic
-    polynomial, so equality is coefficient-wise,
+    polynomial, so equality is coefficient-wise; a nonzero a is inverted
+    as a^-1 = c / Nm(a), c the product of its Galois conjugates
+    sigma_k(a) (zeta -> zeta^k, 1 < k < N, gcd(k, N) = 1) and
+    Nm(a) = a * c their rational norm,
   * the Laurent ring Q[q, q^-1] in one formal variable q (an integral
     domain, not a field; only monomials are invertible).
 
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 
 class RingMismatch(TypeError):
@@ -62,21 +66,6 @@ LAURENT = "laurent"
 
 def _divisors(n: int) -> list[int]:
     out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
-def euler_phi(n: int) -> int:
-    out = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            out -= out // p
-        p += 1
-    if m > 1:
-        out -= out // m
     return out
 
 
@@ -152,49 +141,22 @@ def _cyc_mul(N: int, a: tuple, b: tuple) -> tuple:
     return _cyc_reduce(N, out)
 
 
-def _poly_divmod(a: list, b: list):
-    # over Q, b nonzero
-    a = list(a)
-    db = len(b) - 1
-    while db >= 0 and b[db] == 0:
-        db -= 1
-    quo = [0] * max(len(a) - db, 1)
-    for k in range(len(a) - 1 - db, -1, -1):
-        if len(a) > k + db and a[k + db]:
-            c = _div(a[k + db], b[db])
-            quo[k] = c
-            for i in range(db + 1):
-                a[k + i] -= c * b[i]
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return quo, a
-
-
 def _cyc_inverse(N: int, a: tuple) -> tuple:
-    """Inverse modulo Phi_N by the extended Euclidean algorithm over Q[x]."""
-    if all(c == 0 for c in a):
+    """Inverse modulo Phi_N through the Galois conjugates sigma_k: zeta ->
+    zeta^k, gcd(k, N) = 1.  With c the product of sigma_k(a) over 1 < k < N,
+    a * c is the norm of a, the product of all its conjugates: a rational,
+    nonzero for a != 0 since Phi_N is irreducible.  So a^-1 = c / (a * c)_0."""
+    if not any(a):
         raise ZeroDivisionError("scalar inverse of zero")
-    r0 = list(cyclotomic_poly(N))
-    r1 = list(a)
-    s0, s1 = [0], [1]
-    while any(c != 0 for c in r1):
-        q, r = _poly_divmod(r0, r1)
-        # s_next = s0 - q*s1
-        prod = [0] * (len(q) + len(s1) - 1)
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    prod[i + j] += qi * sj
-        s_next = [
-            (s0[i] if i < len(s0) else 0) - (prod[i] if i < len(prod) else 0)
-            for i in range(max(len(s0), len(prod)))
-        ]
-        r0, r1 = r1, r
-        s0, s1 = s1, s_next
-    g = r0  # gcd, a nonzero constant since Phi_N is irreducible over Q
-    if len(g) != 1 or g[0] == 0:
-        raise ZeroDivisionError("noninvertible cyclotomic payload")
-    return _cyc_reduce(N, [_div(c, g[0]) for c in s0])
+    conj = (1,)
+    for k in range(2, N):
+        if gcd(k, N) == 1:
+            spread = [0] * N
+            for i, x in enumerate(a):
+                spread[i * k % N] += x
+            conj = _cyc_mul(N, conj, _cyc_reduce(N, spread))
+    norm = _cyc_mul(N, a, conj)[0]
+    return tuple([_div(x, norm) for x in conj])
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +629,7 @@ def parse_scalar(text: str, ring: str = RATIONAL, N: int = 0) -> Scalar:
 
     `ring`/`N` give the expected ring when the text has no header and no
     variable occurrence would disambiguate it; a "Q(zeta_N):" header wins.
+    A z^e exponent may be any integer; it is read mod N.
     """
     s = text.strip()
     if s.startswith("Q(zeta_"):
@@ -688,12 +651,11 @@ def parse_scalar(text: str, ring: str = RATIONAL, N: int = 0) -> Scalar:
     if "z" in s or ring == CYCLOTOMIC:
         if N < 1:
             raise ValueError(f"cyclotomic text without ring header: {text!r}")
-        coeffs = [0] * euler_phi(N)
+        # zeta^N = 1, and Phi_N divides x^N - 1: exponents are read mod N
+        coeffs = [0] * N
         for sign, term in terms:
             c, e = _parse_term(term, "z")
-            if e >= len(coeffs):
-                coeffs.extend([0] * (e - len(coeffs) + 1))
-            coeffs[e] += sign * c
+            coeffs[e % N] += sign * c
         return Scalar.cyclotomic(N, coeffs)
     total = 0
     for sign, term in terms:

@@ -6,7 +6,8 @@ import pytest
 from quasicyc import cli
 from quasicyc.calculus import character_closed
 from quasicyc.cyclic import MAX_FILE_DIM, CyclicCochain, full_tuples
-from quasicyc.presets import FieldError, builtin
+from quasicyc.presets import FieldError, builtin, from_dict
+from quasicyc.scalars import Scalar, Unit
 from quasicyc.twist import transport
 
 
@@ -405,6 +406,36 @@ def test_closed_form_follows_the_calculus_not_the_name(tmp_path, capsys):
     for extra in ([], ["--closed-form"]):
         rc, out, err = run(capsys, "character", "--preset", path, "--args", "uv,u,v", *extra)
         assert (rc, out, err) == (0, "4\n", "")
+
+
+def test_twisted_closed_form_is_the_prefactor_times_the_closed_form(tmp_path, capsys):
+    # the derivations kind takes P(t) from the preset's twist, not the torus's
+    path = write_preset(tmp_path, {
+        "name": "torus_q2", "group": {"free_rank": 2}, "scalars": "laurent",
+        "cochain_F": {"expr": "2*i1*j2", "base": "laurent"},
+        "calculus": {"kind": "derivations"},
+    })
+    for args, value in (("u^-1*v^-1,u,v", "1"), ("u^-2*v^-1,u,u*v", "q^-2")):
+        for extra in ([], ["--closed-form"]):
+            rc, out, err = run(
+                capsys, "character", "--preset", path, "--args", args, "--twisted", *extra
+            )
+            assert (rc, out, err) == (0, f"{value}\n", "")
+
+
+@pytest.mark.parametrize("N, text, expect", [
+    (3, "Q(zeta_3): z^-1", Unit.root_of_unity(3, 2)),
+    (8, "Q(zeta_8): 2*z^-3 + z^11", Scalar.cyclotomic(8, [0, -2, 0, 1])),
+    (3, "Q(zeta_3): z^3000000", Scalar.one()),
+], ids=["negative", "negative_and_past_N", "huge"])
+def test_file_scalars_read_exponents_mod_N(N, text, expect):
+    table = [[[g], [h], text if g and h else "1"] for g in range(N) for h in range(N)]
+    pre = from_dict({**Z2_PRESET, "group": {"cyclic_orders": [N]},
+                     "cochain_F": {"table": table}})
+    assert pre.cochain().value((1,), (1,)) == expect
+    phi = CyclicCochain.from_json({"group": {"cyclic_orders": [N]}, "chi": [0], "degree": 1,
+                                   "entries": [[[[1]], text]]})
+    assert phi.value(((N - 1,), (1,))) == expect
 
 
 @pytest.mark.parametrize("preset, window, pointwise", [

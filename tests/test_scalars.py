@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,26 @@ from quasicyc.scalars import (
     NonUnitLaurent,
     RingMismatch,
     Scalar,
+    Unit,
     cyclotomic_poly,
-    euler_phi,
     parse_scalar,
 )
+
+
+def euler_phi(n: int) -> int:
+    """The totient by trial division, independent of cyclotomic_poly."""
+    out = n
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            out -= out // p
+        p += 1
+    if m > 1:
+        out -= out // m
+    return out
 
 
 # The defining identity x^N - 1 = prod_{d | N} Phi_d(x) is the oracle for
@@ -170,6 +187,20 @@ def test_parse_scalar_known_forms():
     assert parse_scalar("q^-1 - 3/2*q^2") == Scalar.laurent({-1: 1, 2: Fraction(-3, 2)})
     assert parse_scalar("Q(zeta_8): -1 + z^2") == Scalar.cyclotomic(8, [-1, 0, 1, 0])
     assert parse_scalar("z", ring="cyclotomic", N=3) == Scalar.root_of_unity(3, 1)
+
+
+def test_parse_scalar_reads_exponents_mod_N():
+    assert parse_scalar("Q(zeta_3): z^-1") == Unit.root_of_unity(3, 2)
+    assert parse_scalar("Q(zeta_3): z^-1") == Scalar.cyclotomic(3, [-1, -1])
+    z8 = Scalar.root_of_unity(8, 1)
+    assert parse_scalar("Q(zeta_8): 2*z^-3 + z^11") == -2 * z8 + z8 ** 3
+    tracemalloc.start()
+    try:
+        assert parse_scalar("Q(zeta_3): z^3000000") == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @st.composite
@@ -409,7 +440,7 @@ def _invertible(s):
     return not s.is_zero() and (s.tag != "laurent" or len(s.payload) == 1)
 
 
-@pytest.mark.parametrize("N", [3, 4, 5, 8, 12])
+@pytest.mark.parametrize("N", [3, 4, 5, 7, 8, 12, 15])
 def test_kernel_matches_fraction_reference(N):
     rng = random.Random(1000 + N)
     rings = ["rational", "cyclotomic", "laurent"]
