@@ -41,8 +41,8 @@ tables of its primitive pulls, which identity_suite reads when it checks
 the unwrapped operators.  A twisted read scales
 the stored rows by the transport prefactor on both sides
 (twist.row_conjugator), which is P X P^{-1} written on rows, and the rows
-go to linalg.rank_kernel as they are stored, sparse.  The hc rank of b on
-the lambda-invariant part is rank[lambda - id; b] - rank(lambda - id).
+go to linalg.rank as they are stored, sparse.  The hc rank of b on the
+lambda-invariant part is rank[lambda - id; b] - rank(lambda - id).
 
 The extra degeneracy is s_{-1} = (-1)^n s_0 lambda^{-1} and the
 mixed-complex operators are
@@ -68,7 +68,7 @@ from functools import lru_cache
 
 from .cochains import LawReport
 from .groups import GroupSpec, InfiniteGroup
-from .linalg import rank_kernel
+from .linalg import rank, rank_kernel
 from .scalars import Scalar, Unit
 
 
@@ -991,8 +991,11 @@ def cohomology_dims(
     by its lambda-invariant part ker(lambda - id) for hc.  b restricted to
     that part has rank rank[lambda - id; b] - rank(lambda - id), the
     stacked rows less the invariance rows, so every rank is taken on
-    stored sparse rows.  twist conjugates b and lambda by the transport
-    prefactor of the given 2-cochain, by scaling the stored rows.
+    stored sparse rows: b for hh, lambda - id and [lambda - id; b] for hc.
+    Each is a linalg.rank, an elimination on integer vectors in Z[zeta_N]
+    that forms no kernel vector and no Scalar.  twist conjugates b and
+    lambda by the transport prefactor of the given 2-cochain, by scaling
+    the stored rows.
     """
     if which not in ("hh", "hc"):
         raise ValueError(f"unknown cohomology kind {which!r}")
@@ -1007,14 +1010,14 @@ def cohomology_dims(
         dim_k = space_dim(group, k)
         if which == "hh":
             dim_c = dim_k
-            rank_out, _ = rank_kernel(rows("b", k), dim_k)
+            rank_out = rank(rows("b", k), dim_k)
         else:
             lam = rows("lambda_minus_id", k)
-            rank_lam, _ = rank_kernel(lam, dim_k)
+            rank_lam = rank(lam, dim_k)
             dim_c = dim_k - rank_lam
             rank_out = 0
             if dim_c:
-                rank_out = rank_kernel(lam + rows("b", k), dim_k)[0] - rank_lam
+                rank_out = rank(lam + rows("b", k), dim_k) - rank_lam
         out.append({
             "degree": k,
             "dim_C": dim_c,

@@ -17,7 +17,11 @@ The JSON schema mirrors the Preset fields:
               | {"table": [[[g coords], [h coords], "scalar"], ...]},
    "calculus": {"kind": "characters", "weights": [[...], ...]}
              | {"kind": "derivations"},
+   "cochain_order": N,         # optional; the Q(zeta_N) of table scalars,
+                               # defaults to the group's exponent
    "ribbon": [...]}            # optional; defaults to the sum of weights
+
+A table scalar's "Q(zeta_M):" header must name M = cochain_order.
 """
 
 from __future__ import annotations

@@ -624,18 +624,31 @@ def join_terms(terms) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
+# largest N a "Q(zeta_N):" header may name; Phi_N up to it is built in
+# about 10 ms, where N = 9240 takes seconds
+MAX_HEADER_ORDER = 512
+
+
 def parse_scalar(text: str, ring: str = RATIONAL, N: int = 0) -> Scalar:
     """Parse the canonical text form back into a Scalar.
 
     `ring`/`N` give the expected ring when the text has no header and no
-    variable occurrence would disambiguate it; a "Q(zeta_N):" header wins.
-    A z^e exponent may be any integer; it is read mod N.
+    variable occurrence would disambiguate it.  A "Q(zeta_M):" header names
+    the ring itself: M must lie in 1..MAX_HEADER_ORDER and, when the caller
+    expects an N >= 1, equal it.  A z^e exponent may be any integer; it is
+    read mod N.
     """
     s = text.strip()
     if s.startswith("Q(zeta_"):
         head, _, rest = s.partition(":")
-        N = int(head[len("Q(zeta_"):-1])
-        ring = CYCLOTOMIC
+        if not head.endswith(")"):
+            raise ValueError(f"unclosed ring header: {text!r}")
+        M = int(head[len("Q(zeta_"):-1])
+        if not 1 <= M <= MAX_HEADER_ORDER:
+            raise ValueError(f"Q(zeta_{M}) is outside Q(zeta_1) .. Q(zeta_{MAX_HEADER_ORDER})")
+        if N >= 1 and M != N:
+            raise ValueError(f"Q(zeta_{M}) where Q(zeta_{N}) is expected")
+        N, ring = M, CYCLOTOMIC
         s = rest.strip()
     if "q" in s:
         ring = LAURENT

@@ -309,10 +309,21 @@ def _without(d, key):
         {**Z2_PRESET, "cochain_F": {"table": [[[1], [1], "abc"]]}},
         "preset field 'cochain_F.table[0][2]' is not a scalar: Invalid literal for Fraction: 'abc'",
     ),
+    (
+        {**Z2_PRESET, "cochain_F": {"table": [[[1], [1], "Q(zeta_9240): 1"]]}},
+        "preset field 'cochain_F.table[0][2]' is not a scalar: "
+        "Q(zeta_9240) is outside Q(zeta_1) .. Q(zeta_512)",
+    ),
+    (
+        {**Z2_PRESET, "cochain_F": {"table": [[[1], [1], "Q(zeta_4): z"]]}},
+        "preset field 'cochain_F.table[0][2]' is not a scalar: "
+        "Q(zeta_4) where Q(zeta_2) is expected",
+    ),
 ], ids=["no_scalars", "group_list", "order_string", "top_level_list", "no_order",
         "order_entry_string", "weight_not_list", "weight_entry_bool", "ribbon_entry_string",
         "table_row_pair", "table_coordinate_string", "table_scalar_int",
-        "table_scalar_zero_division", "table_scalar_unparsed"])
+        "table_scalar_zero_division", "table_scalar_unparsed", "table_scalar_order_too_large",
+        "table_scalar_other_field"])
 def test_malformed_preset_json_exits_2(tmp_path, capsys, data, message):
     path = write_preset(tmp_path, data)
     rc, out, err = run(capsys, "verify", "--preset", path, "--suite", "cochain")
@@ -368,9 +379,15 @@ OCT_COCHAIN = {
         {**OCT_COCHAIN, "degree": 12, "entries": []},
         "cochain field 'degree' 12 on a group of order 8 exceeds |G|^max(degree, 2) <= 262144",
     ),
+    (
+        {**OCT_COCHAIN, "entries": [[[[1, 0, 0], [0, 1, 0]], "Q(zeta_4620): 1"]]},
+        "cochain field 'entries[0][1]' is not a scalar: "
+        "Q(zeta_4620) is outside Q(zeta_1) .. Q(zeta_512)",
+    ),
 ], ids=["short_tail", "long_tail", "no_degree", "scalar_int", "top_level_list",
         "negative_degree", "repeated_tuple", "coordinate_count", "entry_single",
-        "chi_entry_string", "scalar_zero_division", "scalar_unparsed", "degree_too_large"])
+        "chi_entry_string", "scalar_zero_division", "scalar_unparsed", "degree_too_large",
+        "scalar_order_too_large"])
 def test_malformed_cochain_json_exits_2(tmp_path, capsys, data, message):
     src, dst = tmp_path / "phi.json", tmp_path / "out.json"
     src.write_text(json.dumps(data))

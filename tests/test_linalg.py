@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import linalg_reference
 from quasicyc.cyclic import apply_rows
@@ -186,7 +188,106 @@ def mixed_cases():
 def test_matches_gauss_jordan_reference(rows):
     rank, ker = rank_kernel(rows)
     assert (rank, ker) == linalg_reference.rank_kernel(rows)
+    assert (rank, ker) == linalg_reference.echelon_rank_kernel(sparse(rows), len(rows[0]))
     assert all(type(v) is Scalar for vec in ker for v in vec)
+    assert linalg.rank(sparse(rows), len(rows[0])) == rank
+
+
+def fraction_entry(rng, N):
+    """A Scalar with Fraction coordinates, or a Unit with a Fraction
+    coefficient."""
+    if rng.random() < 0.5:
+        return Unit(Fraction(rng.choice((1, -1)), rng.choice((2, 3))), N, rng.randrange(N))
+    coords = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 4))) for _ in range(N)]
+    coords[0] = Fraction(rng.choice((1, -1)), rng.choice((2, 3)))
+    return Scalar.cyclotomic(N, coords)
+
+
+def pair_entry(rng, N):
+    z = Scalar.root_of_unity(N, 1)
+    return rng.choice([
+        lambda: rng.choice((1, -1)),
+        lambda: Unit(rng.choice((1, -1)), N, rng.randrange(N)),
+        lambda: Unit(2, N, rng.randrange(N)),
+        lambda: z + 1,
+        lambda: fraction_entry(rng, N),
+    ])()
+
+
+def sparse_case(rng, N, m, n):
+    """Sparse (col, value) rows over Q(zeta_N) mixing ints, Units and
+    Scalars with Fraction coordinates: column 0 holds no unit monomial
+    (2, 2 + z, 1/2 + z), so its pivot takes a fraction-free step; repeated
+    columns cancel or sum; rows are empty or hold only zeros; one row is
+    dependent."""
+    z = Scalar.root_of_unity(N, 1)
+    rows = []
+    for _ in range(m):
+        row = [(j, pair_entry(rng, N)) for j in range(1, n) if rng.random() < 0.5]
+        row.append((0, rng.choice((Scalar.rational(2), z + 2, z + Fraction(1, 2)))))
+        if row and rng.random() < 0.4:
+            j, x = rng.choice(row)
+            row += [(j, x), (j, x * -1)]  # cancels
+        if rng.random() < 0.3:
+            j = rng.randrange(n)
+            u = Unit.root_of_unity(N, rng.randrange(N))
+            row += [(j, u), (j, u)]  # sums to 2u
+        rng.shuffle(row)
+        rows.append(row)
+    rows.append([])
+    rows.append([(rng.randrange(n), 0), (rng.randrange(n), Scalar.zero())])
+    u = Unit(rng.choice((1, -1)), N, rng.randrange(N))
+    rows.append(rows[0] + [(j, u * x) for j, x in rows[1]])  # rows[0] + u rows[1]
+    rng.shuffle(rows)
+    return rows, n
+
+
+def sparse_cases():
+    rng = random.Random(47)
+    return [sparse_case(rng, N, m, n)
+            for N in (1, 3, 4, 8)
+            for m, n in ((2, 2), (4, 3), (5, 6), (8, 5), (6, 9), (12, 8))]
+
+
+def dense(pairs, n):
+    """The dense Scalar rows of sparse (col, value) rows."""
+    out = []
+    for row in pairs:
+        vec = [Scalar.zero()] * n
+        for j, x in row:
+            vec[j] = vec[j] + x
+        out.append(vec)
+    return out
+
+
+@pytest.mark.parametrize("pairs, n", sparse_cases())
+def test_rank_matches_references_on_sparse_rows(pairs, n):
+    before = [list(r) for r in pairs]
+    expect = linalg_reference.echelon_rank_kernel(pairs, n)
+    assert linalg.rank_kernel(pairs, n) == expect
+    assert linalg.rank(pairs, n) == expect[0] == linalg_reference.rank_kernel(dense(pairs, n))[0]
+    assert pairs == before
+
+
+@st.composite
+def field_matrices(draw):
+    N = draw(st.sampled_from((1, 3, 4, 8)))
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    z = Scalar.root_of_unity(N, 1)
+    values = st.sampled_from([
+        Scalar.zero(), Scalar.zero(), Scalar.one(), Scalar.rational(-1), Scalar.rational(2),
+        Scalar.rational(1, 2), z, z * -1, z + 1, z * z, z * Fraction(2, 3) + Fraction(1, 2),
+    ])
+    return draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=m, max_size=m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_matrices())
+def test_rank_equals_transpose_rank_and_reference(rows):
+    transpose = [list(col) for col in zip(*rows)]
+    expect = linalg_reference.rank_kernel(rows)[0]
+    assert linalg.rank(sparse(rows), len(rows[0])) == expect
+    assert linalg.rank(sparse(transpose), len(rows)) == expect
 
 
 def test_identity():
@@ -265,6 +366,22 @@ def test_column_out_of_range_rejected():
     for col in (2, 5, -1):
         with pytest.raises(ValueError):
             linalg.rank_kernel([[(0, one)], [(col, one)]], 2)
+
+
+@pytest.mark.parametrize("row, error", [
+    ([(1, Scalar.q_power(1))], LaurentScalars),
+    ([(1, Unit.q_power(1))], LaurentScalars),
+    ([(0, Unit.root_of_unity(3, 1)), (1, Scalar.root_of_unity(4, 1))], RingMismatch),
+    ([(1, 0.5)], TypeError),
+    ([(1, Fraction(1, 2))], TypeError),
+    ([(1, True)], TypeError),
+    ([(2, 1)], ValueError),
+], ids=["laurent", "laurent_unit", "two_fields", "float", "fraction", "bool", "column"])
+def test_rank_and_rank_kernel_reject_alike(row, error):
+    rows = [[(0, Scalar.one())], row]
+    for fn in (linalg.rank, linalg.rank_kernel):
+        with pytest.raises(error):
+            fn(rows, 2)
 
 
 def test_sparse_rows_sum_repeated_columns_and_read_ints_as_units():

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from quasicyc import scalars as scalars_module
 from quasicyc.scalars import (
     NonUnitLaurent,
     RingMismatch,
@@ -201,6 +202,28 @@ def test_parse_scalar_reads_exponents_mod_N():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("text, N, message", [
+    ("Q(zeta_9240): 1", 0, "outside"),
+    ("Q(zeta_4620): 1 + z", 0, "outside"),
+    ("Q(zeta_0): 1", 0, "outside"),
+    ("Q(zeta_7): z", 5, r"where Q\(zeta_5\) is expected"),
+    ("Q(zeta_57: 1 + z", 0, "unclosed"),
+])
+def test_parse_scalar_rejects_a_header_before_building_phi(monkeypatch, text, N, message):
+    def refuse(order):
+        raise AssertionError(f"built Phi_{order}")
+
+    monkeypatch.setattr(scalars_module, "cyclotomic_poly", refuse)
+    with pytest.raises(ValueError, match=message):
+        parse_scalar(text, "cyclotomic", N)
+
+
+def test_parse_scalar_accepts_headers_up_to_the_bound():
+    top = scalars_module.MAX_HEADER_ORDER
+    assert parse_scalar(f"Q(zeta_{top}): z^{top + 1}") == Scalar.root_of_unity(top, 1)
+    assert parse_scalar("Q(zeta_5): z", "cyclotomic", 5) == Scalar.root_of_unity(5, 1)
 
 
 @st.composite
