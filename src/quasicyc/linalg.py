@@ -9,13 +9,14 @@ eliminated again or stacked with others.
 
 Both run one forward elimination, on integer coefficient vectors in
 Z[zeta_N]: an entry is its power-basis tuple of phi(N) ints, the payload of
-a cyclotomic Scalar (a 1-tuple on Q), multiplied by scalars._cyc_mul; the
-products of two units +-zeta^a are tabulated once per N.  A row with
-Fraction coordinates is first scaled by the lcm of their denominators,
-which leaves its span unchanged.  Columns are taken in order, and zeros are
-never stored.  The pivot p of a column is a remaining row whose entry there
-is a unit u = +-zeta^a, the one with the fewest entries; a row r with entry
-f there becomes r - (f u^-1) p, with no division, since u^-1 = +-zeta^-a.
+a cyclotomic Scalar (a 1-tuple on Q), multiplied by scalars._cyc_mul, whose
+products are memoized per N as they are first asked for, in a bounded memo.
+A row with Fraction coordinates is first scaled by the lcm of their
+denominators, which leaves its span unchanged.  Columns are taken in order,
+and zeros are never stored.  The pivot p of a column is a remaining row
+whose entry there is a unit u = +-zeta^a, the one with the fewest entries;
+a row r with entry f there becomes r - (f u^-1) p, with no division, since
+u^-1 = +-zeta^-a.
 Only when no row has such a unit is p the shortest row that holds the
 column, with entry e; then r becomes e r - f p, a fraction-free step in the
 manner of Bareiss (valid because e != 0 in a domain), and is divided by the
@@ -79,19 +80,28 @@ def _field_order(rows, n: int) -> int:
     return orders.pop() if orders else 1
 
 
+# the products memo of one ring holds at most this many coordinates, and
+# is emptied when full
+_MEMO_COORDS = 1 << 14
+
+
 @lru_cache(maxsize=16)
 def _ring(N: int):
-    """(powers, inverses, products) of Z[zeta_N]: powers[a] is the tuple of
-    zeta^a, inverses maps the tuple of each unit +-zeta^a to its inverse's,
-    and products maps each pair of those tuples to their product's."""
-    powers = [_cyc_reduce(N, [0] * a + [1]) for a in range(N)]
+    """(powers, negated, inverses, products) of Z[zeta_N]: powers[a] and
+    negated[a] are the tuples of zeta^a and -zeta^a, inverses maps the tuple
+    of each unit +-zeta^a to its inverse's, and products memoizes _cyc_mul
+    on pairs of tuples, filled as products are asked for.  The tables take
+    O(N phi(N)) ints, built one multiplication by zeta at a time."""
+    zeta = _cyc_reduce(N, [0, 1])
+    powers = [_cyc_reduce(N, [1])]
+    for _ in range(1, N):
+        powers.append(_cyc_mul(N, zeta, powers[-1]))
+    negated = [_neg(p) for p in powers]
     inverses = {}
     for a, p in enumerate(powers):
-        q = powers[-a % N]
-        inverses[p] = q
-        inverses[_neg(p)] = _neg(q)
-    products = {(u, v): _cyc_mul(N, u, v) for u in inverses for v in inverses}
-    return powers, inverses, products
+        inverses[p] = powers[-a % N]
+        inverses[negated[a]] = negated[-a % N]
+    return powers, negated, inverses, {}
 
 
 def _neg(v: tuple) -> tuple:
@@ -103,8 +113,7 @@ def _int_rows(rows, N: int) -> list[dict]:
     Units read as c * zeta^a, a Scalar as its payload, a repeated column
     summed, zeros dropped, and a row with a Fraction coordinate scaled by
     the lcm of the denominators."""
-    powers = _ring(N)[0]
-    negated = [_neg(p) for p in powers]
+    powers, negated = _ring(N)[:2]
     one, minus = powers[0], negated[0]
     pad = one[1:]
     out = []
@@ -153,12 +162,17 @@ def _echelon(rows, N: int) -> dict:
     """Forward-eliminate the nonempty {col: tuple} rows in place; return
     {pivot col: (pivot entry, pivot row without that entry)}, in column
     order."""
-    powers, inverses, products = _ring(N)
+    powers, _, inverses, products = _ring(N)
     one = powers[0]
+    room = _MEMO_COORDS // len(one)
 
     def mul(a, b):
         p = products.get((a, b))
-        return _cyc_mul(N, a, b) if p is None else p
+        if p is None:
+            if len(products) >= room:
+                products.clear()
+            p = products[a, b] = _cyc_mul(N, a, b)
+        return p
 
     live = rows
     pivots: dict = {}

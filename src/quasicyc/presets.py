@@ -21,7 +21,9 @@ The JSON schema mirrors the Preset fields:
                                # defaults to the group's exponent
    "ribbon": [...]}            # optional; defaults to the sum of weights
 
-A table scalar's "Q(zeta_M):" header must name M = cochain_order.
+A table scalar's "Q(zeta_M):" header must name M = cochain_order.  A given
+cochain_F.order or cochain_order is at most MAX_HEADER_ORDER, the bound on
+headers.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from .calculus import CalculusSpec
 from .cochains import Cochain2
 from .groups import GroupSpec
-from .scalars import parse_scalar
+from .scalars import MAX_HEADER_ORDER, parse_scalar
 
 OCTONION_EXPR = "i1*(j1+j2+j3)+i2*(j2+j3)+i3*j3+j1*i2*i3+i1*j2*i3+i1*i2*j3"
 TORUS_EXPR = "i2*j1"
@@ -138,6 +140,19 @@ def _typed(value, path: str, kind):
     return value
 
 
+def _order(obj: dict, path: str, default=_MISSING) -> int:
+    """A root-of-unity order N at that path, at most MAX_HEADER_ORDER as in
+    a "Q(zeta_N):" header (an N < 1 is left to the ring to reject); a
+    default is taken as it is."""
+    key = path.rpartition(".")[2]
+    if key not in obj and default is not _MISSING:
+        return default
+    N = _field(obj, path, int)
+    if N > MAX_HEADER_ORDER:
+        raise FieldError(f"field {path!r} must be at most {MAX_HEADER_ORDER}, got {N}")
+    return N
+
+
 def _int_list(value, path: str) -> tuple:
     """A JSON list of integers, as a tuple; a bad entry is named by index."""
     return tuple(_typed(v, f"{path}[{i}]", int) for i, v in enumerate(_typed(value, path, list)))
@@ -174,14 +189,14 @@ def _from_fields(data: dict) -> Preset:
     if "expr" in cf:
         kind = _field(cf, "cochain_F.base", str)
         if kind == "root_of_unity":
-            base = ("root_of_unity", _field(cf, "cochain_F.order", int))
+            base = ("root_of_unity", _order(cf, "cochain_F.order"))
         elif kind == "laurent":
             base = ("laurent",)
         else:
             raise ValueError(f"unknown cochain base {kind!r}")
         cochain_spec = ("expr", base, _field(cf, "cochain_F.expr", str))
     elif "table" in cf:
-        order = _field(data, "cochain_order", int, group.exponent)
+        order = _order(data, "cochain_order", group.exponent)
         entries = []
         for i, row in enumerate(_field(cf, "cochain_F.table", list)):
             path = f"cochain_F.table[{i}]"

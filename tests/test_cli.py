@@ -319,11 +319,19 @@ def _without(d, key):
         "preset field 'cochain_F.table[0][2]' is not a scalar: "
         "Q(zeta_4) where Q(zeta_2) is expected",
     ),
+    (
+        {**Z2_PRESET, "cochain_F": {**Z2_PRESET["cochain_F"], "order": 9240}},
+        "preset field 'cochain_F.order' must be at most 512, got 9240",
+    ),
+    (
+        {**Z2_PRESET, "cochain_order": 1000, "cochain_F": {"table": [[[1], [1], "1"]]}},
+        "preset field 'cochain_order' must be at most 512, got 1000",
+    ),
 ], ids=["no_scalars", "group_list", "order_string", "top_level_list", "no_order",
         "order_entry_string", "weight_not_list", "weight_entry_bool", "ribbon_entry_string",
         "table_row_pair", "table_coordinate_string", "table_scalar_int",
         "table_scalar_zero_division", "table_scalar_unparsed", "table_scalar_order_too_large",
-        "table_scalar_other_field"])
+        "table_scalar_other_field", "order_too_large", "table_order_too_large"])
 def test_malformed_preset_json_exits_2(tmp_path, capsys, data, message):
     path = write_preset(tmp_path, data)
     rc, out, err = run(capsys, "verify", "--preset", path, "--suite", "cochain")

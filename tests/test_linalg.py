@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -267,6 +268,36 @@ def test_rank_matches_references_on_sparse_rows(pairs, n):
     assert linalg.rank_kernel(pairs, n) == expect
     assert linalg.rank(pairs, n) == expect[0] == linalg_reference.rank_kernel(dense(pairs, n))[0]
     assert pairs == before
+
+
+def test_rank_over_a_large_field_needs_no_table_of_unit_products():
+    # the ring tables take O(N phi(N)) ints; a table of all (2N)^2 unit
+    # products would take about 2 GB at N = 512
+    N = 512
+    rows = [
+        [(0, Unit.root_of_unity(N, 1)), (1, Unit.root_of_unity(N, N - 3))],
+        [(0, Unit.root_of_unity(N, 5)), (1, 1)],
+    ]
+    linalg._ring.cache_clear()
+    tracemalloc.start()
+    try:
+        assert linalg.rank(rows, 2) == 2
+        assert linalg.rank(rows[:1] + rows[:1], 2) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("pairs, n", sparse_cases()[-6:])
+def test_products_memo_stays_within_its_bound(monkeypatch, pairs, n):
+    monkeypatch.setattr(linalg, "_MEMO_COORDS", 8)
+    linalg._ring.cache_clear()
+    try:
+        assert linalg.rank_kernel(pairs, n) == linalg_reference.echelon_rank_kernel(pairs, n)
+        assert len(linalg._ring(8)[3]) <= 8 // 4
+    finally:
+        linalg._ring.cache_clear()
 
 
 @st.composite
