@@ -44,7 +44,7 @@ from .cyclic import (
     periodicity_report,
 )
 from .groups import InfiniteGroup, SpecMismatch
-from .presets import Preset, load
+from .presets import Preset, load, read_json
 from .quasialgebra import (
     GradedElement,
     check_algebra_laws,
@@ -272,8 +272,7 @@ def _cmd_cohomology(pre: Preset, args) -> int:
 
 
 def _cmd_twist(pre: Preset, args) -> int:
-    with open(args.infile) as fh:
-        phi = CyclicCochain.from_json(json.load(fh))
+    phi = CyclicCochain.from_json(read_json(args.infile, "cochain"))
     out = transport(phi, pre.cochain())
     with open(args.outfile, "w") as fh:
         json.dump(out.to_json(), fh, indent=2, sort_keys=True)

@@ -16,18 +16,22 @@ output tuple to one input tuple and a unit coefficient, a `scalars.Unit`
 composing pullbacks adds exponents.  On a finite group a pullback is a
 fixed map between the support tuples of two degrees: pull_table writes it
 as a table, the full_tuples index of the pulled tuple and the coefficient
-at each output tuple.  A primitive's table is built by pulling each tuple
-once; compose_pulls records its parts, so a composite's table is its
-parts' tables composed by indexing.  Operator identities are checked
+at each output tuple.  A composite pullback is plain data, the tuple of
+its primitive pulls, outermost first (the empty tuple is the identity),
+and an atom is a (coefficient, composite) pair.  A primitive's table is
+built by pulling each tuple once, and a composite's table is its
+primitives' tables composed by indexing.  Operator identities are checked
 pointwise on pullbacks, which is equivalent to checking them against
 every cochain and much cheaper: on a finite group identity_suite compares
-the two sides' composite tables; on a group with a free part it evaluates
-each atom at most once per sampled tuple in a call, from a memo keyed by
-(kind, degree, index) that it drops on return.  Operators act on vectors
-only as sparse rows, built by atom_rows from the atoms' tables and
+the two sides' composite tables; on a group with a free part it folds
+each side's primitives at every sampled tuple, each evaluated at most
+once per tuple in a call, from a memo keyed by (kind, degree, index) that
+it drops on return.  Operators act on vectors only as sparse rows, lists
+of (col, coeff) pairs, built by atom_rows from the atoms' tables and
 applied by the one applier apply_rows.  compose_rows multiplies two row
-sets into the rows of the composite, so an operator identity on a finite
-group is decided exactly, for every cochain, by comparing composites:
+sets into the rows of the composite, in the same shape, so an operator
+identity on a finite group is decided exactly, for every cochain, by
+comparing composites:
 mixed_complex_report decides the mixed-complex laws that way, and
 twist.verify_transport the intertwining b^F T = T b on the twisted b rows
 that cohomology_dims reads.  lambda^{k+1} = id is decided by identity_suite.
@@ -126,11 +130,6 @@ def _mul_table(group: GroupSpec):
     return {(a, b): group.mul(a, b) for a in els for b in els}
 
 
-@lru_cache(maxsize=None)
-def _inv_table(group: GroupSpec) -> dict:
-    return {g: group.inv(g) for g in _els(group)}
-
-
 # the most entries a cochain file may give its vector, |G|^degree, or the
 # product table, |G|^2: Z2^3 at degree 6, about 70 MB once read
 MAX_FILE_DIM = 1 << 18
@@ -144,13 +143,13 @@ def space_dim(group: GroupSpec, degree: int) -> int:
 def full_tuples(group: GroupSpec, degree: int) -> tuple:
     """All support tuples (g0, g1..gk) in vector order, the tails (g1..gk)
     in itertools.product order over the elements, g0 determined."""
-    mul, inv, e = _mul_table(group), _inv_table(group), group.identity()
+    mul, e = _mul_table(group), group.identity()
     out = []
     for tail in itertools.product(_els(group), repeat=degree):
         g = e
         for h in tail:
             g = mul[g, h]
-        out.append((inv[g],) + tail)
+        out.append((group.inv(g),) + tail)
     return tuple(out)
 
 
@@ -358,26 +357,8 @@ def lambda_pull(group: GroupSpec, chi, k: int):
     return pull
 
 
-def compose_pulls(*pulls):
-    """Pullback of a composite; list the outermost operator first.  The
-    composite records its parts, so pull_table composes their tables."""
-    if not pulls:
-        return identity_pull
-
-    def pull(t):
-        c = _ONE
-        for p in pulls:
-            t, ci = p(t)
-            if ci is not _ONE:
-                c = ci if c is _ONE else c * ci
-        return t, c
-
-    pull.parts = pulls
-    return pull
-
-
 def lambda_power_pull(group, chi, k, j):
-    return compose_pulls(*([lambda_pull(group, chi, k)] * j))
+    return (lambda_pull(group, chi, k),) * j
 
 
 # ---------------------------------------------------------------------------
@@ -406,21 +387,13 @@ def _compose_tables(outer, inner):
     return tuple(map(i_idx.__getitem__, o_idx)), coef, in_degree
 
 
-def _primitives(pull):
-    parts = getattr(pull, "parts", None)
-    if parts is None:
-        yield pull
-    else:
-        for p in parts:
-            yield from _primitives(p)
-
-
-def pull_table(group, pull, out_degree, memo):
-    """Table of pull on C^out_degree: the composition of its primitives'
-    tables, a composite's parts read outermost first; each primitive's
-    table is built once per memo, keyed by (pull, out_degree)."""
+def pull_table(group, pulls, out_degree, memo):
+    """Table on C^out_degree of the composite pulls, a tuple of primitive
+    pulls read outermost first: their tables composed by indexing, the
+    empty tuple being identity_pull's table; each primitive's table is
+    built once per memo, keyed by (pull, out_degree)."""
     table = None
-    for prim in _primitives(pull):
+    for prim in pulls or (identity_pull,):
         key = (prim, out_degree if table is None else table[2])
         part = memo.get(key)
         if part is None:
@@ -440,14 +413,14 @@ def _apply_atoms(phi: CyclicCochain, atoms, out_degree: int) -> CyclicCochain:
 
 def apply_face(phi: CyclicCochain, i: int) -> CyclicCochain:
     pull = face_pull(phi.group, phi.chi, phi.degree, i)
-    return _apply_atoms(phi, [(1, pull)], phi.degree + 1)
+    return _apply_atoms(phi, [(1, (pull,))], phi.degree + 1)
 
 
 def apply_degeneracy(phi: CyclicCochain, i: int) -> CyclicCochain:
     if phi.degree < 1:
         raise DegreeTooLow("degeneracy needs degree >= 1")
     pull = degeneracy_pull(phi.group, phi.degree - 1, i)
-    return _apply_atoms(phi, [(1, pull)], phi.degree - 1)
+    return _apply_atoms(phi, [(1, (pull,))], phi.degree - 1)
 
 
 def _apply_stored(phi: CyclicCochain, op: str, twist=None) -> CyclicCochain:
@@ -467,15 +440,13 @@ def apply_extra_degeneracy(phi: CyclicCochain) -> CyclicCochain:
     k = phi.degree
     if k < 1:
         raise DegreeTooLow("extra degeneracy needs degree >= 1")
-    pull = compose_pulls(
-        degeneracy_pull(phi.group, k - 1, 0), lambda_power_pull(phi.group, phi.chi, k, k)
-    )
-    return _apply_atoms(phi, [((-1) ** (k - 1), pull)], k - 1)
+    pulls = (degeneracy_pull(phi.group, k - 1, 0),) + lambda_power_pull(phi.group, phi.chi, k, k)
+    return _apply_atoms(phi, [((-1) ** (k - 1), pulls)], k - 1)
 
 
 def b_atoms(group, chi, k: int):
     """Atoms of the Hochschild coboundary b: C^k -> C^{k+1}."""
-    return [((-1) ** i, face_pull(group, chi, k, i)) for i in range(k + 2)]
+    return [((-1) ** i, (face_pull(group, chi, k, i),)) for i in range(k + 2)]
 
 
 def apply_b(phi: CyclicCochain) -> CyclicCochain:
@@ -497,13 +468,9 @@ def B_atoms(group, chi, k: int):
     sign_n = -1 if n % 2 else 1
     out = []
     for i in range(n + 1):
-        lam_i = [lambda_pull(group, chi, n)] * i
-        p1 = compose_pulls(
-            *lam_i, degeneracy_pull(group, n, 0), lambda_power_pull(group, chi, k, k)
-        )
-        p2 = compose_pulls(*lam_i, degeneracy_pull(group, n, n))
-        out.append((1, p1))
-        out.append((-sign_n, p2))
+        lam_i = lambda_power_pull(group, chi, n, i)
+        s_0 = (degeneracy_pull(group, n, 0),) + lambda_power_pull(group, chi, k, k)
+        out += [(1, lam_i + s_0), (-sign_n, lam_i + (degeneracy_pull(group, n, n),))]
     return out
 
 
@@ -521,10 +488,8 @@ def s_atoms(group, chi, m: int):
     out = []
     for i in range(1, n + 1):
         for j in range(i, n + 1):
-            pull = compose_pulls(
-                face_pull(group, chi, m + 1, i - 1), face_pull(group, chi, m, j - 1)
-            )
-            out.append(((-1) ** (i + j), pull))
+            pulls = (face_pull(group, chi, m + 1, i - 1), face_pull(group, chi, m, j - 1))
+            out.append(((-1) ** (i + j), pulls))
     return out
 
 
@@ -541,46 +506,42 @@ def _row_coeff(coeff, c):
 
 
 def atom_rows(group, atoms, out_degree, memo=None):
-    """The sparse rows [(col, coeff)] of sum(coeff * pull), one per output
-    tuple in vector order, an entry per atom in atom order.  Each atom's
-    table comes from pull_table, with primitive tables memoized in memo
-    (one dict per call when None).  Coefficients +1/-1 are stored as ints
+    """The sparse rows [(col, coeff)] of the sum of the (coeff, pulls)
+    atoms, one per output tuple in vector order, an entry per atom in atom
+    order.  Each atom's table comes from pull_table, with primitive tables
+    memoized in memo (one dict per call when None).  Coefficients +1/-1 are stored as ints
     so the apply loop can skip scalar multiplication; the others are
     Units.  Twisted rows are not built here: row_conjugator scales these."""
     if memo is None:
         memo = {}
     columns = []
-    for coeff, pull in atoms:
-        idx, coef, _ = pull_table(group, pull, out_degree, memo)
+    for coeff, pulls in atoms:
+        idx, coef, _ = pull_table(group, pulls, out_degree, memo)
         columns.append(zip(idx, [_row_coeff(coeff, c) for c in coef]))
     if not columns:
         return [[] for _ in full_tuples(group, out_degree)]
     return [list(row) for row in zip(*columns)]
 
 
-def _pairs(row):
-    return row.items() if isinstance(row, dict) else row
-
-
-def _row_sum(pairs) -> dict:
-    """{col: coeff} of (col, coeff) pairs, like columns added, zeros dropped."""
+def _row_sum(pairs) -> list:
+    """The (col, coeff) pairs with like columns added and zeros dropped,
+    columns in order of first appearance."""
     acc = {}
     for col, c in pairs:
         prev = acc.get(col)
         acc[col] = c if prev is None else prev + c
-    return {col: c for col, c in acc.items() if c}
+    return [(col, c) for col, c in acc.items() if c]
 
 
-def compose_rows(outer, inner) -> list[dict]:
-    """Rows {col: coeff} of the composite "outer after inner": outer's
-    columns index inner's rows.  Rows are (col, coeff) pairs, as atom_rows
-    yields them, or such dicts; sums that cancel are dropped, so a zero
-    composite has only empty rows."""
-    inner = [list(_pairs(row)) for row in inner]
+def compose_rows(outer, inner) -> list[list]:
+    """Rows of the composite "outer after inner", (col, coeff) pairs as
+    atom_rows builds them: outer's columns index inner's rows.  Sums that
+    cancel are dropped, so a zero composite has only empty rows, and the
+    result goes to compose_rows, apply_rows or linalg.rank again."""
     return [
         _row_sum(
             (col, d if c == 1 else -d if c == -1 else c * d)
-            for j, c in _pairs(row)
+            for j, c in row
             for col, d in inner[j]
         )
         for row in outer
@@ -593,14 +554,13 @@ def row_counterexample(group, in_degree, out_degree, rows, other=None):
     input ..." naming the support tuples of the first coefficient of
     rows - other that did not cancel."""
     for i, row in enumerate(rows):
-        pairs = list(_pairs(row))
         if other is not None:
-            pairs += [(col, -c) for col, c in _pairs(other[i])]
-        diff = _row_sum(pairs)
+            row = list(row) + [(col, -c) for col, c in other[i]]
+        diff = _row_sum(row)
         if diff:
             return (
                 f"degree {in_degree} output {full_tuples(group, out_degree)[i]!r} "
-                f"input {full_tuples(group, in_degree)[min(diff)]!r}"
+                f"input {full_tuples(group, in_degree)[min(col for col, _ in diff)]!r}"
             )
     return None
 
@@ -651,7 +611,7 @@ class OperatorCache:
             elif op == "N":
                 atoms = n_atoms(grp, chi, degree)
             elif op == "lambda":
-                atoms = [(1, lambda_pull(grp, chi, degree))]
+                atoms = [(1, (lambda_pull(grp, chi, degree),))]
             elif op == "lambda_minus_id":
                 atoms = lambda_minus_id_atoms(grp, chi, degree)
             elif op == "S":
@@ -682,8 +642,7 @@ def mixed_complex_report(
     callers passing them still work.
     """
     _check_degree_max(degree_max)
-    chi = group.check_weight(chi)
-    rows = operators(group, chi).rows
+    rows = stored_rows(group, chi)
     domain = f"exact: every cochain, degrees <= {degree_max}"
     fails = {}
 
@@ -698,7 +657,7 @@ def mixed_complex_report(
         if k >= 1:
             bB = compose_rows(rows("b", k - 1), rows("B", k))
             Bb = compose_rows(rows("B", k + 1), rows("b", k))
-            check("bB_plus_Bb", k, k, bB, [{c: -v for c, v in r.items()} for r in Bb])
+            check("bB_plus_Bb", k, k, bB, [[(c, -v) for c, v in r] for r in Bb])
         if k >= 2:
             check("B_squared", k, k - 2, compose_rows(rows("B", k - 1), rows("B", k)))
 
@@ -711,8 +670,7 @@ def mixed_complex_report(
 def cyclic_cocycle_basis(group: GroupSpec, chi, degree: int):
     """Kernel basis of the stacked (lambda - id, b) map on C^degree, as
     scalar vectors."""
-    chi = group.check_weight(chi)
-    rows = operators(group, chi).rows
+    rows = stored_rows(group, chi)
     stacked = rows("lambda_minus_id", degree) + rows("b", degree)
     return rank_kernel(stacked, space_dim(group, degree))[1]
 
@@ -765,14 +723,24 @@ def sample_tuples(group: GroupSpec, degree: int, window, samples: int, seed) -> 
     return out
 
 
+def _fold(pulls, t):
+    """The pulled tuple and coefficient of the composite pulls at t, the
+    primitives applied outermost first."""
+    c = _ONE
+    for p in pulls:
+        t, ci = p(t)
+        if ci is not _ONE:
+            c = ci if c is _ONE else c * ci
+    return t, c
+
+
 def _sides_equal(tuples, lhs, rhs):
     """The first of tuples at which the two signed composites differ, or
     None; both signs are +-1, as for _tables_differ."""
     (sign1, pulls1), (sign2, pulls2) = lhs, rhs
-    p1, p2 = compose_pulls(*pulls1), compose_pulls(*pulls2)
     for full in tuples:
-        t1, c1 = p1(full)
-        t2, c2 = p2(full)
+        t1, c1 = _fold(pulls1, full)
+        t2, c2 = _fold(pulls2, full)
         if t1 != t2 or c1 != (c2 if sign1 == sign2 else -c2):
             return full
     return None
@@ -782,8 +750,8 @@ def _tables_differ(group, out_degree, lhs, rhs, memo):
     """The first support tuple of out_degree at which the tables of the two
     signed composites differ, or None; memo as for pull_table."""
     (sign1, pulls1), (sign2, pulls2) = lhs, rhs
-    idx1, coef1, _ = pull_table(group, compose_pulls(*pulls1), out_degree, memo)
-    idx2, coef2, _ = pull_table(group, compose_pulls(*pulls2), out_degree, memo)
+    idx1, coef1, _ = pull_table(group, pulls1, out_degree, memo)
+    idx2, coef2, _ = pull_table(group, pulls2, out_degree, memo)
     if sign1 != sign2:  # both +-1: sign1 c1 == sign2 c2 iff c1 == -c2
         coef2 = tuple([-c for c in coef2])
     if idx1 == idx2 and coef1 == coef2:
@@ -819,8 +787,9 @@ def identity_suite(
 ) -> list[LawReport]:
     """Check the six cocyclic identity families pointwise on pullbacks.
 
-    wrap(pull) -> pull conjugates each atom; used by
-    the twist module to run the same suite on the twisted operators.
+    wrap(pull) -> pull conjugates each primitive pull, of which the two
+    sides' tuples are made; used by the twist module to run the same
+    suite on the twisted operators.
     The tuples are those of sample_tuples: every support tuple on a finite
     group, the identity tuple plus `samples` seeded tuples from the window
     on an infinite one.  Each face, degeneracy and lambda atom is built
@@ -885,8 +854,8 @@ def identity_suite(
             for i in range(min(j, k + 2)):
                 cases.append(
                     (k + 2,
-                     (1, [F(k + 1, j), F(k, i)]),
-                     (1, [F(k + 1, i), F(k, j - 1)]))
+                     (1, (F(k + 1, j), F(k, i))),
+                     (1, (F(k + 1, i), F(k, j - 1))))
                 )
     check("face_face", cases)
 
@@ -897,8 +866,8 @@ def identity_suite(
             for i in range(j + 1):
                 cases.append(
                     (k - 2,
-                     (1, [S_(k - 2, j), S_(k - 1, i)]),
-                     (1, [S_(k - 2, i), S_(k - 1, j + 1)]))
+                     (1, (S_(k - 2, j), S_(k - 1, i))),
+                     (1, (S_(k - 2, i), S_(k - 1, j + 1))))
                 )
     check("deg_deg", cases)
 
@@ -907,13 +876,13 @@ def identity_suite(
     for k in range(degree_max + 1):
         for i in range(k + 2):
             for j in range(k + 1):
-                lhs = (1, [S_(k, j), F(k, i)])
+                lhs = (1, (S_(k, j), F(k, i)))
                 if i < j:
-                    rhs = (1, [F(k - 1, i), S_(k - 1, j - 1)])
+                    rhs = (1, (F(k - 1, i), S_(k - 1, j - 1)))
                 elif i in (j, j + 1):
-                    rhs = (1, [])
+                    rhs = (1, ())
                 else:
-                    rhs = (1, [F(k - 1, i - 1), S_(k - 1, j)])
+                    rhs = (1, (F(k - 1, i - 1), S_(k - 1, j)))
                 cases.append((k, lhs, rhs))
     check("deg_face", cases)
 
@@ -922,14 +891,14 @@ def identity_suite(
     for k in range(degree_max + 1):
         cases.append(
             (k + 1,
-             (1, [L(k + 1), F(k, 0)]),
-             ((-1) ** (k + 1), [F(k, k + 1)]))
+             (1, (L(k + 1), F(k, 0))),
+             ((-1) ** (k + 1), (F(k, k + 1),)))
         )
         for i in range(1, k + 2):
             cases.append(
                 (k + 1,
-                 (1, [L(k + 1), F(k, i)]),
-                 (-1, [F(k, i - 1), L(k)]))
+                 (1, (L(k + 1), F(k, i))),
+                 (-1, (F(k, i - 1), L(k))))
             )
     check("lambda_face", cases)
 
@@ -938,21 +907,21 @@ def identity_suite(
     for k in range(1, degree_max + 1):
         cases.append(
             (k - 1,
-             (1, [L(k - 1), S_(k - 1, 0)]),
-             ((-1) ** (k - 1), [S_(k - 1, k - 1), L(k), L(k)]))
+             (1, (L(k - 1), S_(k - 1, 0))),
+             ((-1) ** (k - 1), (S_(k - 1, k - 1), L(k), L(k))))
         )
         for i in range(1, k):
             cases.append(
                 (k - 1,
-                 (1, [L(k - 1), S_(k - 1, i)]),
-                 (-1, [S_(k - 1, i - 1), L(k)]))
+                 (1, (L(k - 1), S_(k - 1, i))),
+                 (-1, (S_(k - 1, i - 1), L(k))))
             )
     check("lambda_deg", cases)
 
     # lambda^{k+1} = id
     cases = []
     for k in range(degree_max + 1):
-        cases.append((k, (1, [L(k)] * (k + 1)), (1, [])))
+        cases.append((k, (1, (L(k),) * (k + 1)), (1, ())))
     check("lambda_order", cases)
 
     return reports
@@ -962,7 +931,7 @@ def identity_suite(
 # cohomology dimensions
 
 def lambda_minus_id_atoms(group, chi, k):
-    return [(1, lambda_pull(group, chi, k)), (-1, identity_pull)]
+    return [(1, (lambda_pull(group, chi, k),)), (-1, ())]
 
 
 def stored_rows(group: GroupSpec, chi, twist=None):

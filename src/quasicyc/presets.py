@@ -21,9 +21,11 @@ The JSON schema mirrors the Preset fields:
                                # defaults to the group's exponent
    "ribbon": [...]}            # optional; defaults to the sum of weights
 
-A table scalar's "Q(zeta_M):" header must name M = cochain_order.  A given
+A table scalar's "Q(zeta_M):" header must name M = cochain_order, and a
+table names each pair (g, h) once, after reduction in the group.  A given
 cochain_F.order or cochain_order is at most MAX_HEADER_ORDER, the bound on
-headers.
+headers.  The calculus and the ribbon weight are built when the Preset is,
+so a preset whose calculus is malformed is rejected by every command.
 """
 
 from __future__ import annotations
@@ -55,8 +57,12 @@ class Preset:
     def __post_init__(self):
         if self.scalars not in _RING_NAMES:
             raise ValueError(f"unknown scalar ring {self.scalars!r}")
-        if self.calculus_kind == "characters" and not self.weights:
-            raise ValueError("characters calculus needs weights")
+        # built once, outside the fields, so == and hash are unchanged; the
+        # ribbon defaults to the sum of the weights (none for derivations)
+        calculus = CalculusSpec(self.group, self.calculus_kind, tuple(self.weights))
+        ribbon = self.weights if self.ribbon is None else (self.ribbon,)
+        object.__setattr__(self, "_calculus", calculus)
+        object.__setattr__(self, "_ribbon", self.group.combine_weights(ribbon))
 
     def cochain(self) -> Cochain2:
         kind = self.cochain_spec[0]
@@ -67,14 +73,10 @@ class Preset:
         return Cochain2.from_table(self.group, entries)
 
     def calculus(self) -> CalculusSpec:
-        return CalculusSpec(self.group, self.calculus_kind, tuple(self.weights))
+        return self._calculus
 
     def ribbon_weight(self) -> tuple[int, ...]:
-        if self.ribbon is not None:
-            return self.group.check_weight(self.ribbon)
-        if self.calculus_kind == "characters":
-            return self.group.combine_weights(self.weights)
-        return ()
+        return self._ribbon
 
 
 def builtin(name: str) -> Preset:
@@ -197,12 +199,16 @@ def _from_fields(data: dict) -> Preset:
         cochain_spec = ("expr", base, _field(cf, "cochain_F.expr", str))
     elif "table" in cf:
         order = _order(data, "cochain_order", group.exponent)
-        entries = []
+        entries, seen = [], {}
         for i, row in enumerate(_field(cf, "cochain_F.table", list)):
             path = f"cochain_F.table[{i}]"
             if len(_typed(row, path, list)) != 3:
                 raise FieldError(f"field {path!r} must be a [g, h, scalar] triple")
             g, h = _int_list(row[0], f"{path}[0]"), _int_list(row[1], f"{path}[1]")
+            pair = (group.reduce(g), group.reduce(h))
+            if pair in seen:
+                raise FieldError(f"field {path!r} repeats {seen[pair]!r}")
+            seen[pair] = path
             entries.append((g, h, _scalar(row[2], f"{path}[2]", scalars, order)))
         cochain_spec = ("table", tuple(entries))
     else:
@@ -223,9 +229,18 @@ def _from_fields(data: dict) -> Preset:
     )
 
 
+def read_json(path: str, kind: str):
+    """The JSON document in the file at path; a document nested too deeply
+    for the parser raises a ValueError naming its kind."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{kind} file {path!r} nests too deeply to parse") from None
+
+
 def load(name_or_path: str) -> Preset:
     """Built-in preset name, or a path to a preset JSON file."""
     if name_or_path in BUILTIN_NAMES:
         return builtin(name_or_path)
-    with open(name_or_path) as fh:
-        return from_dict(json.load(fh))
+    return from_dict(read_json(name_or_path, "preset"))

@@ -9,12 +9,14 @@ and the twisted cyclic operators are the conjugates X^F = P X P^{-1}.
 TransportPrefactor.value returns P as a `scalars.Unit` when F's values are
 Units, so a conjugated coefficient is a sum of exponents and P^{-1} is the
 negated exponents.  A TransportPrefactor memoizes P and P^{-1} per tuple,
-so a conjugated pull inverts each input tuple's prefactor once per memo.
-On stored operator rows conjugation is a diagonal scaling: row_conjugator
-multiplies row r by P at its output tuple and column col by P^{-1} at its
-input tuple, and cohomology_dims(twist=) and apply_b/lambda_twisted read
-the stored rows scaled that way; verify_transport decides b^F T = T b on
-those b rows.  Conjugated pulls (conjugator) serve the pointwise checks.
+and lists them over the support tuples of a degree once per degree
+(values, inverses), which transport, transport_inverse and row_conjugator
+read.  On stored operator rows conjugation is a diagonal scaling:
+row_conjugator multiplies row r by P at its output tuple and column col by
+P^{-1} at its input tuple, and cohomology_dims(twist=) and
+apply_b/lambda_twisted read the stored rows scaled that way;
+verify_transport decides b^F T = T b on those b rows, T the diagonal rows
+of P.  Conjugated pulls (conjugator) serve the pointwise checks.
 Conjugation is the normative definition: the conjugated module satisfies
 every cocyclic identity automatically, so identity checks on it exercise
 the transport code, not the algebra.  The group-like specializations of
@@ -49,14 +51,16 @@ from .scalars import Unit
 
 class TransportPrefactor:
     """Memoized evaluator of the left-to-right transport prefactor and of
-    its inverse, one memo each."""
+    its inverse, one memo each, and on a finite group their lists over the
+    support tuples of a degree, one per degree and side."""
 
-    __slots__ = ("F", "_memo", "_inverse")
+    __slots__ = ("F", "_memo", "_inverse", "_lists")
 
     def __init__(self, F: Cochain2):
         self.F = F
         self._memo = {}
         self._inverse = {}
+        self._lists = {}  # k -> values(k); ~k -> inverses(k)
 
     def value(self, gs: tuple):
         out = self._memo.get(gs)
@@ -76,15 +80,32 @@ class TransportPrefactor:
             out = self._inverse[gs] = (self._memo.get(gs) or self.value(gs)).inverse()
         return out
 
+    def values(self, k: int) -> list:
+        """P at each support tuple of degree k, in full_tuples order."""
+        out = self._lists.get(k)
+        if out is None:
+            out = self._lists[k] = [self.value(t) for t in full_tuples(self.F.group, k)]
+        return out
+
+    def inverses(self, k: int) -> dict:
+        """{1: P^{-1}, -1: -P^{-1}} at each support tuple of degree k, in
+        full_tuples order: a +-1 row entry reads its product from a list."""
+        out = self._lists.get(~k)
+        if out is None:
+            inv = [self.inverse_value(t) for t in full_tuples(self.F.group, k)]
+            out = self._lists[~k] = {1: inv, -1: [-x for x in inv]}
+        return out
+
 
 def transport(phi: CyclicCochain, F: Cochain2) -> CyclicCochain:
     """Multiply pointwise by the prefactor; invertible, degree-preserving."""
     _check_same_group(F, phi.group)
-    return _scale(phi, TransportPrefactor(F).value)
+    return _scale(phi, TransportPrefactor(F).values(phi.degree))
 
 
 def transport_inverse(phi: CyclicCochain, F: Cochain2) -> CyclicCochain:
-    return _scale(phi, TransportPrefactor(F).inverse_value)
+    _check_same_group(F, phi.group)
+    return _scale(phi, TransportPrefactor(F).inverses(phi.degree)[1])
 
 
 def _check_same_group(F: Cochain2, group: GroupSpec):
@@ -92,12 +113,9 @@ def _check_same_group(F: Cochain2, group: GroupSpec):
         raise SpecMismatch("cochain and twist live on different groups")
 
 
-def _scale(phi: CyclicCochain, factor) -> CyclicCochain:
-    # multiply each nonzero entry by factor(full tuple of its support)
-    vec = [
-        factor(full) * v if not v.is_zero() else v
-        for full, v in zip(full_tuples(phi.group, phi.degree), phi.vec)
-    ]
+def _scale(phi: CyclicCochain, factors: list) -> CyclicCochain:
+    # multiply each nonzero entry by the factor listed at its support tuple
+    vec = [f * v if not v.is_zero() else v for f, v in zip(factors, phi.vec)]
     return CyclicCochain(phi.group, phi.chi, phi.degree, vec)
 
 
@@ -127,25 +145,20 @@ def row_conjugator(pref: TransportPrefactor, group: GroupSpec):
 
     This is conjugation written on rows, a diagonal scaling: the entry
     (r, col, c) becomes P(out_r) c P^{-1}(in_col), out_r and in_col the
-    support tuples of row r and column col.  P and P^{-1} come from pref
-    and are listed once per degree and side; a +-1 entry takes P^{-1} or
-    -P^{-1} from a list, one product per entry.
+    support tuples of row r and column col.  P and P^{-1} are the lists
+    pref.values and pref.inverses, built once per degree and side for as
+    long as pref lives; a +-1 entry takes P^{-1} or -P^{-1} from a list,
+    one product per entry.
     """
     _check_same_group(pref.F, group)
-    left, right = {}, {}  # degree -> P; degree -> {1: P^{-1}, -1: -P^{-1}}
 
     def conj(rows, out_degree, in_degree):
-        if out_degree not in left:
-            left[out_degree] = [pref.value(t) for t in full_tuples(group, out_degree)]
-        if in_degree not in right:
-            inv = [pref.inverse_value(t) for t in full_tuples(group, in_degree)]
-            right[in_degree] = {1: inv, -1: [-x for x in inv]}
-        signed = right[in_degree]
+        signed = pref.inverses(in_degree)
         inv = signed[1]
         return [
             [(col, p * (signed[c][col] if c.__class__ is int else c * inv[col]))
              for col, c in row]
-            for p, row in zip(left[out_degree], rows)
+            for p, row in zip(pref.values(out_degree), rows)
         ]
 
     return conj
@@ -268,10 +281,7 @@ def verify_transport(
     if finite:
         rows, conj = stored_rows(group, chi), row_conjugator(pref, group)
         bad = None
-        T = [
-            [[(i, pref.value(t))] for i, t in enumerate(full_tuples(group, k))]
-            for k in range(degree_max + 2)
-        ]
+        T = [[[(i, p)] for i, p in enumerate(pref.values(k))] for k in range(degree_max + 2)]
         for k in range(degree_max + 1):
             lhs = compose_rows(conj(rows("b", k), k + 1, k), T[k])
             rhs = compose_rows(T[k + 1], rows("b", k))

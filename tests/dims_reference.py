@@ -39,13 +39,17 @@ def _index(group, tail) -> int:
 
 
 def atom_rows(group, atoms, out_degree):
-    """Yield the sparse row [(col, coeff)] of sum(coeff * pull) at each
-    output tuple, in vector order; +1/-1 as ints, other values as they
-    come."""
+    """Yield the sparse row [(col, coeff)] of the sum of the (coeff, pulls)
+    atoms at each output tuple, in vector order, each atom's tuple of
+    pulls applied pull by pull, outermost first; +1/-1 as ints, other
+    values as they come."""
     for full in full_tuples(group, out_degree):
         row = []
-        for coeff, pull in atoms:
-            t_in, c = pull(full)
+        for coeff, pulls in atoms:
+            t_in, c = full, Unit.one()
+            for pull in pulls:
+                t_in, ci = pull(t_in)
+                c = c * ci
             v = c if coeff == 1 else coeff * c
             if v == 1:
                 row.append((_index(group, t_in[1:]), 1))
@@ -151,9 +155,10 @@ def dense(rows, dim):
 
 
 def b_atoms(group, chi, k, wrap=None):
-    """cyclic.b_atoms with each pull wrapped, as the reference built them."""
+    """cyclic.b_atoms with each primitive pull wrapped, as the reference
+    built them."""
     atoms = plain_b_atoms(group, chi, k)
-    return atoms if wrap is None else [(c, wrap(pull)) for c, pull in atoms]
+    return atoms if wrap is None else [(c, tuple(map(wrap, pulls))) for c, pulls in atoms]
 
 
 def lambda_minus_id_atoms(group, chi, k, wrap=None):
@@ -162,7 +167,7 @@ def lambda_minus_id_atoms(group, chi, k, wrap=None):
     if wrap is not None:
         lam = wrap(lam)
         ident = wrap(ident)
-    return [(1, lam), (-1, ident)]
+    return [(1, (lam,)), (-1, (ident,))]
 
 
 def cohomology_dims(group, chi, degree_max, which, twist=None):
@@ -221,5 +226,5 @@ def conjugated_rows(group, chi, F, op, k):
     if op == "b":
         return list(atom_rows(group, b_atoms(group, chi, k, wrap), k + 1))
     if op == "lambda":
-        return list(atom_rows(group, [(1, wrap(lambda_pull(group, chi, k)))], k))
+        return list(atom_rows(group, [(1, (wrap(lambda_pull(group, chi, k)),))], k))
     return list(atom_rows(group, lambda_minus_id_atoms(group, chi, k, wrap), k))

@@ -15,10 +15,11 @@ from quasicyc.cyclic import (
     apply_b,
     apply_rows,
     b_atoms,
+    full_tuples,
     space_dim,
 )
 from quasicyc.scalars import Scalar
-from quasicyc.twist import TransportPrefactor, _scale
+from quasicyc.twist import TransportPrefactor
 
 MIXED_LAWS = ("b_squared", "B_squared", "bB_plus_Bb", "lambda_order", "N_lambda")
 
@@ -73,6 +74,12 @@ def sampled_mixed_complex_report(group, chi, degree_max, count=50, seed=0) -> li
     return [LawReport(law, domain, law not in fails, fails.get(law)) for law in MIXED_LAWS]
 
 
+def _scaled(phi, pref) -> CyclicCochain:
+    """phi times the prefactor, pointwise at each support tuple."""
+    vec = [pref.value(t) * v for t, v in zip(full_tuples(phi.group, phi.degree), phi.vec)]
+    return CyclicCochain(phi.group, phi.chi, phi.degree, vec)
+
+
 def sampled_transport_intertwines_b(F, chi, group, degree_max, seed=0, count=100):
     """None when b^F(T phi) = T(b phi) on `count` random cochains of random
     degrees <= degree_max, else the degree of the first that failed; b^F
@@ -84,9 +91,9 @@ def sampled_transport_intertwines_b(F, chi, group, degree_max, seed=0, count=100
     for _ in range(count):
         k = rng.randint(0, degree_max)
         phi = random_cochain(group, chi, k, rng)
-        atoms = [(c, wrap(pull)) for c, pull in b_atoms(group, chi, k)]
-        lhs = _apply_atoms(_scale(phi, pref.value), atoms, k + 1)
-        rhs = _scale(apply_b(phi), pref.value)
+        atoms = [(c, tuple(map(wrap, pulls))) for c, pulls in b_atoms(group, chi, k)]
+        lhs = _apply_atoms(_scaled(phi, pref), atoms, k + 1)
+        rhs = _scaled(apply_b(phi), pref)
         if not (lhs - rhs).is_zero():
             return f"degree {k} random cochain"
     return None

@@ -208,7 +208,7 @@ def test_07_periodicity_preserves_cyclic_cocycles():
             vec.append(int(val.payload))
         sv = apply_rows(atom_rows(E3, s_atoms(E3, OCT_CHI, 3), 5), vec, 0)
         assert all(type(v) is int for v in sv)
-        lam_rows = atom_rows(E3, [(1, lambda_pull(E3, OCT_CHI, 5))], 5)
+        lam_rows = atom_rows(E3, [(1, (lambda_pull(E3, OCT_CHI, 5),))], 5)
         assert apply_rows(lam_rows, sv, 0) == sv
         bv = apply_rows(atom_rows(E3, b_atoms(E3, OCT_CHI, 5), 6), sv, 0)
         assert not any(bv)

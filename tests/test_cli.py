@@ -505,3 +505,46 @@ def test_parser_is_built_once_and_prints_as_a_fresh_one(capsys):
     assert shared == fresh
     assert [rc for rc, _, _ in shared] == [2, 0, 0, 0, 0]
     assert "invalid choice" in shared[0][2]
+
+
+# -- input that every command rejects ---------------------------------------------
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    dst = tmp_path / "out.json"
+    for argv, kind in (
+        (("verify", "--preset", str(deep), "--suite", "cochain"), "preset"),
+        (("twist", "--preset", "octonion", "--in", str(deep), "--out", str(dst)), "cochain"),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {kind} file {str(deep)!r} nests too deeply to parse\n"
+    assert not dst.exists()
+
+
+Z2_TABLE = [[[g], [h], "1"] for g in (0, 1) for h in (0, 1)]
+
+
+@pytest.mark.parametrize("repeat", [[[1], [1], "-1"], [[3], [1], "-1"]],
+                         ids=["exact", "after_reduction"])
+def test_repeated_table_pair_exits_2(tmp_path, capsys, repeat):
+    path = write_preset(tmp_path, {**Z2_PRESET, "cochain_F": {"table": Z2_TABLE + [repeat]}})
+    rc, out, err = run(capsys, "table", "--preset", path, "--twisted")
+    assert (rc, out) == (2, "")
+    assert err == "error: preset field 'cochain_F.table[4]' repeats 'cochain_F.table[3]'\n"
+
+
+@pytest.mark.parametrize("calculus, message", [
+    ({"kind": "banana"}, "unknown calculus kind 'banana'"),
+    ({"kind": "characters", "weights": [[1, 0, 1]]}, "weight has 3 entries, torsion rank is 1"),
+    ({"kind": "derivations"}, "derivations kind needs a torsion-free group"),
+], ids=["unknown_kind", "weight_length", "derivations_on_finite"])
+@pytest.mark.parametrize("argv", [("table",), ("verify", "--suite", "cochain")],
+                         ids=["table", "verify_cochain"])
+def test_malformed_calculus_exits_2_on_every_command(tmp_path, capsys, calculus, message, argv):
+    path = write_preset(tmp_path, {**Z2_PRESET, "calculus": calculus})
+    rc, out, err = run(capsys, argv[0], "--preset", path, *argv[1:])
+    assert (rc, out, err) == (2, "", f"error: {message}\n")

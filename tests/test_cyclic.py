@@ -266,7 +266,7 @@ def test_apply_rows_streamed_stored_int_scalar(group, chi, op, units):
     if op == "b":
         atoms, out_degree = b_atoms(group, chi, k), k + 1
     else:
-        atoms, out_degree = [(1, lambda_pull(group, chi, k))], k
+        atoms, out_degree = [(1, (lambda_pull(group, chi, k),))], k
     rng = random.Random(17)
     ints = [rng.randint(-3, 3) for _ in range(space_dim(group, k))]
     scalars = [Scalar.rational(x) for x in ints]

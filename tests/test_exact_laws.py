@@ -20,8 +20,10 @@ from quasicyc.cyclic import (
     identity_suite,
     mixed_complex_report,
     space_dim,
+    stored_rows,
 )
 from quasicyc.groups import GroupSpec
+from quasicyc.linalg import rank
 from quasicyc.presets import builtin
 from quasicyc.scalars import Scalar
 from quasicyc.twist import TransportPrefactor, certificate_ok, verify_transport
@@ -49,10 +51,6 @@ PARAMS = [
     for group, dmax, chis in CASES
     for kind, chi in chis.items()
 ]
-
-
-def _applied(rows, vec, zero):
-    return apply_rows([list(row.items()) for row in rows], vec, zero)
 
 
 @pytest.mark.parametrize("group, dmax, chi", PARAMS)
@@ -98,7 +96,7 @@ def test_compose_rows_matches_applying_twice(group, chi, outer, inner):
     ops = OperatorCache(group, chi)
     rows_out, rows_in = ops.rows(*outer), ops.rows(*inner)
     composed = compose_rows(rows_out, rows_in)
-    assert all(all(c != 0 for c in row.values()) for row in composed)
+    assert all(all(c != 0 for _, c in row) for row in composed)
     rng = random.Random(f"{group.cyclic_orders}{outer}{inner}")
     dim = space_dim(group, inner[1])
     N = group.exponent
@@ -110,10 +108,25 @@ def test_compose_rows_matches_applying_twice(group, chi, outer, inner):
     ]
     for vec, zero in ((ints, 0), (cyc, Scalar.zero())):
         twice = apply_rows(rows_out, apply_rows(rows_in, vec, zero), zero)
-        assert _applied(composed, vec, zero) == twice
+        assert apply_rows(composed, vec, zero) == twice
     # a composite composes again: (outer after inner) after identity
     ident = [[(i, 1)] for i in range(dim)]
     assert compose_rows(composed, ident) == composed
+
+
+@pytest.mark.parametrize("group, chi", [(E3, OCT_CHI), (GroupSpec((4,)), (1,))],
+                         ids=["octonion", "z4"])
+def test_composed_rows_go_to_rank_and_apply_rows(group, chi):
+    rows = stored_rows(group, chi)
+    rng = random.Random(f"{group.cyclic_orders}{chi}")
+    for k in range(3):
+        n = space_dim(group, k)
+        assert rank(compose_rows(rows("b", k + 1), rows("b", k)), n) == 0
+        # N lambda = N, a composite that is not zero
+        n_lambda = compose_rows(rows("N", k), rows("lambda", k))
+        assert rank(n_lambda, n) == rank(rows("N", k), n) > 0
+        vec = [rng.randint(-3, 3) for _ in range(n)]
+        assert apply_rows(n_lambda, vec, 0) == apply_rows(rows("N", k), vec, 0)
 
 
 # -- planted bugs ----------------------------------------------------------------

@@ -52,7 +52,7 @@ def _atoms(group, chi, op, k):
     if op == "N":
         return cyclic.n_atoms(group, chi, k)
     if op == "lambda":
-        return [(1, cyclic.lambda_pull(group, chi, k))]
+        return [(1, (cyclic.lambda_pull(group, chi, k),))]
     if op == "lambda_minus_id":
         return cyclic.lambda_minus_id_atoms(group, chi, k)
     return cyclic.s_atoms(group, chi, k)

@@ -199,3 +199,38 @@ def test_apply_lambda_twisted_rejects_a_twist_on_another_group():
     phi = CyclicCochain.basis(Z2, (1,), 1, 1)
     with pytest.raises(SpecMismatch):
         apply_lambda_twisted(phi, Z3_F)
+
+
+# -- the prefactor's per-degree lists ----------------------------------------------
+
+# not a 2-cocycle, and P != P^{-1} at some tuples
+Z3_NONCOCYCLE_F = Cochain2.from_expr(Z3, ("root_of_unity", 3), "i1*i1*j1")
+
+
+@pytest.mark.parametrize("F", [OCT_F, Z3_NONCOCYCLE_F], ids=["octonion", "z3_noncocycle"])
+def test_prefactor_lists_equal_pointwise_values(F):
+    pref = TransportPrefactor(F)
+    for k in range(4):
+        tuples = full_tuples(F.group, k)
+        values, signed = pref.values(k), pref.inverses(k)
+        assert values == [TransportPrefactor(F).value(t) for t in tuples]
+        assert signed[1] == [TransportPrefactor(F).inverse_value(t) for t in tuples]
+        assert signed[-1] == [-x for x in signed[1]]
+        assert pref.values(k) is values and pref.inverses(k) is signed
+    if F is Z3_NONCOCYCLE_F:
+        assert pref.values(2) != pref.inverses(2)[1]
+
+
+def test_transport_inverse_undoes_a_noncocycle_transport():
+    rng = random.Random(5)
+    for k in range(4):
+        phi = random_cochain(Z3, (1,), k, rng)
+        moved = transport(phi, Z3_NONCOCYCLE_F)
+        if k >= 2:
+            assert moved != phi
+        assert transport_inverse(moved, Z3_NONCOCYCLE_F) == phi
+
+
+def test_transport_inverse_rejects_a_twist_on_another_group():
+    with pytest.raises(SpecMismatch):
+        transport_inverse(CyclicCochain.basis(Z2, (1,), 1, 1), Z3_F)
