@@ -42,11 +42,13 @@ cyclic_cocycle_basis, mixed_complex_report, periodicity_report and the
 apply_b/lambda/N/B/S functions all read it, so the hh and hc dims of one
 family, plain and twisted, build each row once.  The store also keeps the
 tables of its primitive pulls, which identity_suite reads when it checks
-the unwrapped operators.  A twisted read scales
-the stored rows by the transport prefactor on both sides
-(twist.row_conjugator), which is P X P^{-1} written on rows, and the rows
-go to linalg.rank as they are stored, sparse.  The hc rank of b on the
-lambda-invariant part is rank[lambda - id; b] - rank(lambda - id).
+the unwrapped operators.  A twisted read goes to the twist's view
+(twist.twisted_rows, bounded at two views like the stores): the stored
+rows scaled by the transport prefactor on both sides, which is P X P^{-1}
+written on rows, conjugated once per (op, k) for as long as the view
+lives, so the hh and hc dims under one twist share its P and its b rows.
+Rows go to linalg.rank as they are stored, sparse.  The hc rank of b on
+the lambda-invariant part is rank[lambda - id; b] - rank(lambda - id).
 
 The extra degeneracy is s_{-1} = (-1)^n s_0 lambda^{-1} and the
 mixed-complex operators are
@@ -511,7 +513,7 @@ def atom_rows(group, atoms, out_degree, memo=None):
     order.  Each atom's table comes from pull_table, with primitive tables
     memoized in memo (one dict per call when None).  Coefficients +1/-1 are stored as ints
     so the apply loop can skip scalar multiplication; the others are
-    Units.  Twisted rows are not built here: row_conjugator scales these."""
+    Units.  Twisted rows are not built here: a twist's view scales these."""
     if memo is None:
         memo = {}
     columns = []
@@ -936,15 +938,14 @@ def lambda_minus_id_atoms(group, chi, k):
 
 def stored_rows(group: GroupSpec, chi, twist=None):
     """rows(op, k): the store's rows of op on C^k, or under twist the rows
-    of the conjugate P op P^{-1} (twist.row_conjugator)."""
+    of the conjugate P op P^{-1}, read from the twist's shared view
+    (twist.twisted_rows)."""
     chi = group.check_weight(chi)
-    rows = operators(group, chi).rows
     if twist is None:
-        return rows
-    from .twist import TransportPrefactor, row_conjugator
+        return operators(group, chi).rows
+    from .twist import twisted_rows
 
-    conj = row_conjugator(TransportPrefactor(twist), group)
-    return lambda op, k: conj(rows(op, k), k + OperatorCache.OPS[op], k)
+    return twisted_rows(group, chi, twist).rows
 
 
 def cohomology_dims(
@@ -963,8 +964,8 @@ def cohomology_dims(
     stored sparse rows: b for hh, lambda - id and [lambda - id; b] for hc.
     Each is a linalg.rank, an elimination on integer vectors in Z[zeta_N]
     that forms no kernel vector and no Scalar.  twist conjugates b and
-    lambda by the transport prefactor of the given 2-cochain, by scaling
-    the stored rows.
+    lambda by the transport prefactor of the given 2-cochain: the rows of
+    its shared view, the stored rows scaled once per twist.
     """
     if which not in ("hh", "hc"):
         raise ValueError(f"unknown cohomology kind {which!r}")

@@ -222,11 +222,21 @@ def _from_fields(data: dict) -> Preset:
         cochain_spec=cochain_spec,
         calculus_kind=_field(calc, "calculus.kind", str),
         weights=tuple(
-            _int_list(w, f"calculus.weights[{i}]")
+            _weight(w, f"calculus.weights[{i}]", group)
             for i, w in enumerate(_field(calc, "calculus.weights", list, []))
         ),
-        ribbon=_int_list(ribbon, "ribbon") if ribbon is not None else None,
+        ribbon=_weight(ribbon, "ribbon", group) if ribbon is not None else None,
     )
+
+
+def _weight(value, path: str, group: GroupSpec) -> tuple:
+    """A character weight at that path: one integer per torsion coordinate."""
+    w = _int_list(value, path)
+    if len(w) != group.torsion_rank:
+        raise FieldError(
+            f"field {path!r} has {len(w)} entries, torsion rank is {group.torsion_rank}"
+        )
+    return w
 
 
 def read_json(path: str, kind: str):

@@ -6,17 +6,25 @@ prefactor
     P(g0..gk) = F(g0,g1) F(g0g1,g2) ... F(g0...g_{k-1},gk)
 
 and the twisted cyclic operators are the conjugates X^F = P X P^{-1}.
-TransportPrefactor.value returns P as a `scalars.Unit` when F's values are
-Units, so a conjugated coefficient is a sum of exponents and P^{-1} is the
-negated exponents.  A TransportPrefactor memoizes P and P^{-1} per tuple,
-and lists them over the support tuples of a degree once per degree
-(values, inverses), which transport, transport_inverse and row_conjugator
-read.  On stored operator rows conjugation is a diagonal scaling:
-row_conjugator multiplies row r by P at its output tuple and column col by
-P^{-1} at its input tuple, and cohomology_dims(twist=) and
-apply_b/lambda_twisted read the stored rows scaled that way;
-verify_transport decides b^F T = T b on those b rows, T the diagonal rows
-of P.  Conjugated pulls (conjugator) serve the pointwise checks.
+Every factor after the first starts from the product g0g1, so they
+multiply to the prefactor of the shorter tuple (g0g1, g2, .., gk), again a
+support tuple when (g0..gk) is one:
+
+    P(g0, g1, .., gk) = F(g0, g1) P(g0g1, g2, .., gk),   P(g0) = 1.
+
+TransportPrefactor evaluates P by this recursion, memoized over every
+tuple it reaches, so a tuple costs one F lookup and one product; value,
+the per-degree lists values and inverses (P^{-1} of values), transport
+and the conjugated pulls (conjugator) all read it.  P is a `scalars.Unit`
+when F's values are Units, so a conjugated coefficient is a sum of
+exponents.  transport and transport_inverse evaluate P, or P^{-1}, only
+at the nonzero entries of the cochain.  On stored operator rows
+conjugation is a diagonal scaling (row_conjugator).  One TwistedRows view
+per (group, chi, F), from twisted_rows, an lru_cache bounded at two views,
+holds the prefactor and the rows of P X P^{-1} per (op, k), conjugated on
+first read: cohomology_dims(twist=), apply_b/lambda_twisted and part (b)
+of verify_transport read it, so the hh and hc dims and the certificate of
+one twist build each P and conjugate each row once.
 Conjugation is the normative definition: the conjugated module satisfies
 every cocyclic identity automatically, so identity checks on it exercise
 the transport code, not the algebra.  The group-like specializations of
@@ -31,16 +39,20 @@ from __future__ import annotations
 
 import os
 import time
+from functools import lru_cache
 
 from .cochains import Cochain2, braiding_R, coboundary_phi
 from .cyclic import (
     CyclicCochain,
+    OperatorCache,
     _apply_stored,
+    _mul_table,
     compose_rows,
     face_pull,
     full_tuples,
     identity_suite,
     lambda_pull,
+    operators,
     row_counterexample,
     sample_tuples,
     stored_rows,
@@ -48,36 +60,44 @@ from .cyclic import (
 from .groups import GroupSpec, InfiniteGroup, SpecMismatch
 from .scalars import Unit
 
+_ONE = Unit.one()
+
 
 class TransportPrefactor:
     """Memoized evaluator of the left-to-right transport prefactor and of
     its inverse, one memo each, and on a finite group their lists over the
     support tuples of a degree, one per degree and side."""
 
-    __slots__ = ("F", "_memo", "_inverse", "_lists")
+    __slots__ = ("F", "_mul", "_memo", "_inverse", "_lists")
 
     def __init__(self, F: Cochain2):
         self.F = F
+        self._mul = _mul_table(F.group)
         self._memo = {}
         self._inverse = {}
         self._lists = {}  # k -> values(k); ~k -> inverses(k)
 
     def value(self, gs: tuple):
+        """P at the tuple gs, its elements reduced."""
+        return self._at(gs)
+
+    def _at(self, gs: tuple):
+        # P(g0, g1, ..) = F(g0, g1) P(g0g1, ..), recursing here rather than
+        # through value, so that a traced value counts the caller's lookups
         out = self._memo.get(gs)
         if out is None:
-            grp = self.F.group
-            acc = Unit.one()
-            prefix = gs[0]
-            for g in gs[1:]:
-                acc = acc * self.F.value(prefix, g)
-                prefix = grp.mul(prefix, g)
-            out = self._memo[gs] = acc
+            if len(gs) < 2:
+                out = _ONE
+            else:
+                g0, g1 = gs[0], gs[1]
+                out = self.F.value(g0, g1) * self._at((self._mul[g0, g1],) + gs[2:])
+            self._memo[gs] = out
         return out
 
     def inverse_value(self, gs: tuple):
         out = self._inverse.get(gs)
         if out is None:
-            out = self._inverse[gs] = (self._memo.get(gs) or self.value(gs)).inverse()
+            out = self._inverse[gs] = self._at(gs).inverse()
         return out
 
     def values(self, k: int) -> list:
@@ -89,10 +109,11 @@ class TransportPrefactor:
 
     def inverses(self, k: int) -> dict:
         """{1: P^{-1}, -1: -P^{-1}} at each support tuple of degree k, in
-        full_tuples order: a +-1 row entry reads its product from a list."""
+        full_tuples order, the inverses of values(k): a +-1 row entry reads
+        its product from a list."""
         out = self._lists.get(~k)
         if out is None:
-            inv = [self.inverse_value(t) for t in full_tuples(self.F.group, k)]
+            inv = [p.inverse() for p in self.values(k)]
             out = self._lists[~k] = {1: inv, -1: [-x for x in inv]}
         return out
 
@@ -100,12 +121,12 @@ class TransportPrefactor:
 def transport(phi: CyclicCochain, F: Cochain2) -> CyclicCochain:
     """Multiply pointwise by the prefactor; invertible, degree-preserving."""
     _check_same_group(F, phi.group)
-    return _scale(phi, TransportPrefactor(F).values(phi.degree))
+    return _scale(phi, TransportPrefactor(F).value)
 
 
 def transport_inverse(phi: CyclicCochain, F: Cochain2) -> CyclicCochain:
     _check_same_group(F, phi.group)
-    return _scale(phi, TransportPrefactor(F).inverses(phi.degree)[1])
+    return _scale(phi, TransportPrefactor(F).inverse_value)
 
 
 def _check_same_group(F: Cochain2, group: GroupSpec):
@@ -113,9 +134,11 @@ def _check_same_group(F: Cochain2, group: GroupSpec):
         raise SpecMismatch("cochain and twist live on different groups")
 
 
-def _scale(phi: CyclicCochain, factors: list) -> CyclicCochain:
-    # multiply each nonzero entry by the factor listed at its support tuple
-    vec = [f * v if not v.is_zero() else v for f, v in zip(factors, phi.vec)]
+def _scale(phi: CyclicCochain, factor) -> CyclicCochain:
+    # multiply each nonzero entry by factor at its support tuple, evaluated
+    # there only
+    tuples = full_tuples(phi.group, phi.degree)
+    vec = [v if v.is_zero() else factor(t) * v for t, v in zip(tuples, phi.vec)]
     return CyclicCochain(phi.group, phi.chi, phi.degree, vec)
 
 
@@ -162,6 +185,35 @@ def row_conjugator(pref: TransportPrefactor, group: GroupSpec):
         ]
 
     return conj
+
+
+class TwistedRows:
+    """The stored operators of one (group, chi) conjugated by one twist F:
+    the prefactor of F, and the rows of P X P^{-1} per (op, k), each
+    conjugated by row_conjugator on first read and kept as long as the
+    view."""
+
+    def __init__(self, group: GroupSpec, chi: tuple, F: Cochain2):
+        self.group, self.chi = group, chi
+        self.prefactor = TransportPrefactor(F)
+        self._conj = row_conjugator(self.prefactor, group)
+        self._rows = {}
+
+    def rows(self, op: str, k: int):
+        """The conjugated rows of op on C^k."""
+        out = self._rows.get((op, k))
+        if out is None:
+            plain = operators(self.group, self.chi).rows(op, k)
+            out = self._rows[op, k] = self._conj(plain, k + OperatorCache.OPS[op], k)
+        return out
+
+
+@lru_cache(maxsize=2)
+def twisted_rows(group: GroupSpec, chi: tuple, F: Cochain2) -> TwistedRows:
+    """The shared view of (group, chi) under F, chi as check_weight returns
+    it.  The two most recent are kept, as operators() keeps two stores: the
+    hh and hc dims of one family read one back to back."""
+    return TwistedRows(group, chi, F)
 
 
 def apply_b_twisted(phi: CyclicCochain, F: Cochain2) -> CyclicCochain:
@@ -243,8 +295,9 @@ def verify_transport(
     (b) transport intertwines the untwisted and conjugated coboundaries:
         b^F T = T b on C^k for every k <= degree_max, decided exactly on a
         finite group on the rows that cohomology_dims(twist=) eliminates,
-        the stored b rows scaled by row_conjugator, composed with the
-        diagonal rows of T; skipped on infinite groups;
+        the b rows of the twist's view (twisted_rows), composed with the
+        diagonal rows of T, read from the view's prefactor; skipped on
+        infinite groups;
     (c) the twisted-calculus character equals transport of the untwisted one,
     (d) direct group-like evaluators vs conjugated operators, informational.
     Finite groups run exhaustively; infinite ones need a window bound.
@@ -261,9 +314,11 @@ def verify_transport(
     def add(name, status, counterexample=None, domain=pointwise):
         identities.append(cert_row(name, status, domain, counterexample))
 
-    # one prefactor memo for the whole certificate: (a) and (d) read the
-    # same conjugated pulls, (b) rows scaled by it, (c) the same transport
-    pref = TransportPrefactor(F)
+    # one prefactor memo for the whole certificate, the twisted view's:
+    # (a) and (d) read the same conjugated pulls, (b) the view's rows, (c)
+    # the same transport
+    view = twisted_rows(group, chi, F)
+    pref = view.prefactor
     wrap = _conjugator(pref)
 
     # (a) cocyclic identities for the conjugated operators
@@ -279,11 +334,11 @@ def verify_transport(
 
     # (b) b^F T = T b as operators, T the diagonal rows of the prefactor
     if finite:
-        rows, conj = stored_rows(group, chi), row_conjugator(pref, group)
+        rows = stored_rows(group, chi)
         bad = None
         T = [[[(i, p)] for i, p in enumerate(pref.values(k))] for k in range(degree_max + 2)]
         for k in range(degree_max + 1):
-            lhs = compose_rows(conj(rows("b", k), k + 1, k), T[k])
+            lhs = compose_rows(view.rows("b", k), T[k])
             rhs = compose_rows(T[k + 1], rows("b", k))
             bad = row_counterexample(group, k, k + 1, lhs, rhs)
             if bad is not None:

@@ -539,7 +539,8 @@ def test_repeated_table_pair_exits_2(tmp_path, capsys, repeat):
 
 @pytest.mark.parametrize("calculus, message", [
     ({"kind": "banana"}, "unknown calculus kind 'banana'"),
-    ({"kind": "characters", "weights": [[1, 0, 1]]}, "weight has 3 entries, torsion rank is 1"),
+    ({"kind": "characters", "weights": [[1, 0, 1]]},
+     "preset field 'calculus.weights[0]' has 3 entries, torsion rank is 1"),
     ({"kind": "derivations"}, "derivations kind needs a torsion-free group"),
 ], ids=["unknown_kind", "weight_length", "derivations_on_finite"])
 @pytest.mark.parametrize("argv", [("table",), ("verify", "--suite", "cochain")],
@@ -548,3 +549,15 @@ def test_malformed_calculus_exits_2_on_every_command(tmp_path, capsys, calculus,
     path = write_preset(tmp_path, {**Z2_PRESET, "calculus": calculus})
     rc, out, err = run(capsys, argv[0], "--preset", path, *argv[1:])
     assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("fields, path, entries", [
+    ({"calculus": {"kind": "characters", "weights": [[1], [1, 1]]}}, "calculus.weights[1]", 2),
+    ({"ribbon": [1, 0, 1]}, "ribbon", 3),
+    ({"ribbon": []}, "ribbon", 0),
+], ids=["second_weight", "ribbon", "empty_ribbon"])
+def test_weight_of_the_wrong_length_names_its_field(tmp_path, capsys, fields, path, entries):
+    preset = write_preset(tmp_path, {**Z2_PRESET, **fields})
+    rc, out, err = run(capsys, "verify", "--preset", preset, "--suite", "algebra")
+    assert (rc, out) == (2, "")
+    assert err == f"error: preset field {path!r} has {entries} entries, torsion rank is 1\n"

@@ -246,6 +246,7 @@ def test_inverse_row_scaling_is_caught(monkeypatch):
     F = Cochain2.from_expr(group, ("root_of_unity", 3), "i1*i1*j1")
     dims = [cohomology_dims(group, chi, 3, which, twist=F) for which in ("hh", "hc")]
     monkeypatch.setattr(twist, "row_conjugator", _inverse_row_conjugator)
+    twist.twisted_rows.cache_clear()  # so the twist's view is rebuilt with the patch
     # an invertible row and column scaling keeps every rank, so dims alone
     # cannot see it ...
     assert [cohomology_dims(group, chi, 3, which, twist=F) for which in ("hh", "hc")] == dims
