@@ -36,17 +36,15 @@ mixed_complex_report decides the mixed-complex laws that way, and
 twist.verify_transport the intertwining b^F T = T b on the twisted b rows
 that cohomology_dims reads.  lambda^{k+1} = id is decided by identity_suite.
 
-Stored rows live in one store per (group, chi), an OperatorCache from
-operators(), an lru_cache bounded at two stores: cohomology_dims,
-cyclic_cocycle_basis, mixed_complex_report, periodicity_report and the
-apply_b/lambda/N/B/S functions all read it, so the hh and hc dims of one
-family, plain and twisted, build each row once.  The store also keeps the
-tables of its primitive pulls, which identity_suite reads when it checks
-the unwrapped operators.  A twisted read goes to the twist's view
-(twist.twisted_rows, bounded at two views like the stores): the stored
-rows scaled by the transport prefactor on both sides, which is P X P^{-1}
-written on rows, conjugated once per (op, k) for as long as the view
-lives, so the hh and hc dims under one twist share its P and its b rows.
+Stored rows live in one store per (group, chi, twist), an OperatorCache
+from operators(), one lru_cache of plain and twisted stores bounded at
+two, so the hh and hc dims of one family, plain and twisted, build each
+row once.  cohomology_dims, cyclic_cocycle_basis, mixed_complex_report,
+periodicity_report and the apply_b/lambda/N/B/S functions read it.  A
+plain store keeps the tables of its primitive pulls, which identity_suite
+reads when it checks the unwrapped operators; a twisted store keeps the
+twist's TransportPrefactor, and its rows are P X P^{-1}, the plain rows
+scaled by P on the output side and P^{-1} on the input side.
 Rows go to linalg.rank as they are stored, sparse.  The hc rank of b on
 the lambda-invariant part is rank[lambda - id; b] - rank(lambda - id).
 
@@ -73,7 +71,7 @@ import random
 from functools import lru_cache
 
 from .cochains import LawReport
-from .groups import GroupSpec, InfiniteGroup
+from .groups import GroupSpec, InfiniteGroup, SpecMismatch
 from .linalg import rank, rank_kernel
 from .scalars import Scalar, Unit
 
@@ -216,8 +214,9 @@ class CyclicCochain:
         )
 
     def __rmul__(self, scalar) -> "CyclicCochain":
-        if not isinstance(scalar, Scalar):
-            scalar = Scalar.rational(scalar)
+        scalar = Scalar._coerce_operand(scalar)
+        if scalar is None:
+            return NotImplemented
         return CyclicCochain(
             self.group, self.chi, self.degree, [scalar * v for v in self.vec]
         )
@@ -427,7 +426,7 @@ def apply_degeneracy(phi: CyclicCochain, i: int) -> CyclicCochain:
 
 def _apply_stored(phi: CyclicCochain, op: str, twist=None) -> CyclicCochain:
     """op, conjugated by twist if given, applied to phi through the store."""
-    rows = stored_rows(phi.group, phi.chi, twist)(op, phi.degree)
+    rows = operators(phi.group, phi.chi, twist).rows(op, phi.degree)
     vec = apply_rows(rows, phi.vec, Scalar.zero())
     return CyclicCochain(phi.group, phi.chi, phi.degree + OperatorCache.OPS[op], vec)
 
@@ -513,7 +512,7 @@ def atom_rows(group, atoms, out_degree, memo=None):
     order.  Each atom's table comes from pull_table, with primitive tables
     memoized in memo (one dict per call when None).  Coefficients +1/-1 are stored as ints
     so the apply loop can skip scalar multiplication; the others are
-    Units.  Twisted rows are not built here: a twist's view scales these."""
+    Units.  Twisted rows are not built here: a twisted store scales these."""
     if memo is None:
         memo = {}
     columns = []
@@ -587,17 +586,94 @@ def apply_rows(rows, vec, zero):
     return out
 
 
+# ---------------------------------------------------------------------------
+# the transport prefactor of a twist and the row store
+
+def _check_same_group(F, group: GroupSpec):
+    if F.group != group:
+        raise SpecMismatch("cochain and twist live on different groups")
+
+
+class TransportPrefactor:
+    """Memoized evaluator of the left-to-right transport prefactor of a
+    2-cochain F (see the twist module) and of its inverse, one memo each,
+    and on a finite group their lists over the support tuples of a degree,
+    one per degree and side."""
+
+    __slots__ = ("F", "_mul", "_memo", "_inverse", "_lists")
+
+    def __init__(self, F):
+        self.F = F
+        self._mul = _mul_table(F.group)
+        self._memo = {}
+        self._inverse = {}
+        self._lists = {}  # k -> values(k); ~k -> inverses(k)
+
+    def value(self, gs: tuple):
+        """P at the tuple gs, its elements reduced."""
+        return self._at(gs)
+
+    def _at(self, gs: tuple):
+        # P(g0, g1, ..) = F(g0, g1) P(g0g1, ..), recursing here rather than
+        # through value, so that a traced value counts the caller's lookups
+        out = self._memo.get(gs)
+        if out is None:
+            if len(gs) < 2:
+                out = _ONE
+            else:
+                g0, g1 = gs[0], gs[1]
+                out = self.F.value(g0, g1) * self._at((self._mul[g0, g1],) + gs[2:])
+            self._memo[gs] = out
+        return out
+
+    def inverse_value(self, gs: tuple):
+        out = self._inverse.get(gs)
+        if out is None:
+            out = self._inverse[gs] = self._at(gs).inverse()
+        return out
+
+    def values(self, k: int) -> list:
+        """P at each support tuple of degree k, in full_tuples order."""
+        out = self._lists.get(k)
+        if out is None:
+            out = self._lists[k] = [self.value(t) for t in full_tuples(self.F.group, k)]
+        return out
+
+    def inverses(self, k: int) -> dict:
+        """{1: P^{-1}, -1: -P^{-1}} at each support tuple of degree k, in
+        full_tuples order, the inverses of values(k): a +-1 row entry reads
+        its product from a list."""
+        out = self._lists.get(~k)
+        if out is None:
+            inv = [p.inverse() for p in self.values(k)]
+            out = self._lists[~k] = {1: inv, -1: [-x for x in inv]}
+        return out
+
+    def wrap(self, pull):
+        """pull conjugated by transport: the coefficient c of t -> t_in
+        becomes P(t) c P^{-1}(t_in).  Coefficients telescope under
+        composition, so wrapping each primitive conjugates the composite."""
+        def wrapped(t):
+            t_in, c = pull(t)
+            return t_in, self.value(t) * c * self.inverse_value(t_in)
+
+        return wrapped
+
+
 class OperatorCache:
     """Rows of b, B, lambda, N, lambda - id and S (without its -1/(n(n+1))
-    factor) per degree for one (group, chi) pair, each built on first use
-    from the tables of its atoms' primitive pulls, which identity_suite
-    reads too; OPS maps an operator to the degree shift of its output."""
+    factor) per degree for one (group, chi) pair, or under a twist F of
+    their conjugates P X P^{-1}, each built on first use.  Plain rows come
+    from the tables of the atoms' primitive pulls, which identity_suite
+    reads too; twisted rows are the plain store's, scaled by _conjugate.
+    OPS maps an operator to the degree shift of its output."""
 
     OPS = {"b": 1, "B": -1, "N": 0, "lambda": 0, "lambda_minus_id": 0, "S": 2}
 
-    def __init__(self, group, chi):
+    def __init__(self, group, chi, twist=None):
         self.group = group
         self.chi = group.check_weight(chi)
+        self.prefactor = None if twist is None else TransportPrefactor(twist)
         self._rows = {}
         self.tables = {}  # pull_table's memo of primitive tables
 
@@ -606,6 +682,10 @@ class OperatorCache:
         key = (op, degree)
         if key not in self._rows:
             grp, chi = self.group, self.chi
+            if self.prefactor is not None:
+                plain = operators(grp, chi).rows(op, degree)
+                self._rows[key] = self._conjugate(plain, degree + self.OPS[op], degree)
+                return self._rows[key]
             if op == "b":
                 atoms = b_atoms(grp, chi, degree)
             elif op == "B":
@@ -623,13 +703,40 @@ class OperatorCache:
             self._rows[key] = atom_rows(grp, atoms, degree + self.OPS[op], self.tables)
         return self._rows[key]
 
+    def _conjugate(self, rows, out_degree, in_degree):
+        """Rows of P X P^{-1} from the rows of X: C^in_degree -> C^out_degree,
+        a diagonal scaling: entry (col, c) of row r becomes P(out_r) c
+        P^{-1}(in_col) at the support tuples of row r and column col, one
+        product per entry, a +-1 entry reading P^{-1} or -P^{-1} from a list."""
+        signed = self.prefactor.inverses(in_degree)
+        inv = signed[1]
+        return [
+            [(col, p * (signed[c][col] if c.__class__ is int else c * inv[col]))
+             for col, c in row]
+            for p, row in zip(self.prefactor.values(out_degree), rows)
+        ]
+
+
+def operators(group: GroupSpec, chi, twist=None) -> OperatorCache:
+    """The shared row store of (group, chi), or under twist, a 2-cochain on
+    group, of its conjugate by the twist's prefactor.  chi is normalized by
+    check_weight and the key passed on positionally, so every call form of
+    one (group, chi, twist) reaches one store.
+
+    Plain and twisted stores share one cache of the two most recent: a dims
+    family reads its plain store and its twisted one back to back (hh and hc,
+    plain and twisted, then periodicity on the plain one), and a twist
+    certificate the same two.  A third entry serves only a certs job that
+    returns to a store two others have evicted, and adds resident rows."""
+    chi = group.check_weight(chi)
+    if twist is not None:
+        _check_same_group(twist, group)
+    return _operator_store(group, chi, twist)
+
 
 @lru_cache(maxsize=2)
-def operators(group: GroupSpec, chi: tuple) -> OperatorCache:
-    """The shared row store of (group, chi), chi as check_weight returns
-    it.  The two most recent are kept: the dims jobs of one family, and the
-    mixed and periodicity checks of one certificate, read one back to back."""
-    return OperatorCache(group, chi)
+def _operator_store(group: GroupSpec, chi: tuple, twist) -> OperatorCache:
+    return OperatorCache(group, chi, twist)
 
 
 def mixed_complex_report(
@@ -644,7 +751,7 @@ def mixed_complex_report(
     callers passing them still work.
     """
     _check_degree_max(degree_max)
-    rows = stored_rows(group, chi)
+    rows = operators(group, chi).rows
     domain = f"exact: every cochain, degrees <= {degree_max}"
     fails = {}
 
@@ -672,7 +779,7 @@ def mixed_complex_report(
 def cyclic_cocycle_basis(group: GroupSpec, chi, degree: int):
     """Kernel basis of the stacked (lambda - id, b) map on C^degree, as
     scalar vectors."""
-    rows = stored_rows(group, chi)
+    rows = operators(group, chi).rows
     stacked = rows("lambda_minus_id", degree) + rows("b", degree)
     return rank_kernel(stacked, space_dim(group, degree))[1]
 
@@ -936,18 +1043,6 @@ def lambda_minus_id_atoms(group, chi, k):
     return [(1, (lambda_pull(group, chi, k),)), (-1, ())]
 
 
-def stored_rows(group: GroupSpec, chi, twist=None):
-    """rows(op, k): the store's rows of op on C^k, or under twist the rows
-    of the conjugate P op P^{-1}, read from the twist's shared view
-    (twist.twisted_rows)."""
-    chi = group.check_weight(chi)
-    if twist is None:
-        return operators(group, chi).rows
-    from .twist import twisted_rows
-
-    return twisted_rows(group, chi, twist).rows
-
-
 def cohomology_dims(
     group: GroupSpec,
     chi,
@@ -965,14 +1060,14 @@ def cohomology_dims(
     Each is a linalg.rank, an elimination on integer vectors in Z[zeta_N]
     that forms no kernel vector and no Scalar.  twist conjugates b and
     lambda by the transport prefactor of the given 2-cochain: the rows of
-    its shared view, the stored rows scaled once per twist.
+    its twisted store, the plain rows scaled once per twist.
     """
     if which not in ("hh", "hc"):
         raise ValueError(f"unknown cohomology kind {which!r}")
     _check_degree_max(degree_max)
     if group.free_rank:
         raise InfiniteGroup("cohomology dimensions need a finite group")
-    rows = stored_rows(group, chi, twist)
+    rows = operators(group, chi, twist).rows
 
     out = []
     prev_rank = 0

@@ -12,19 +12,17 @@ support tuple when (g0..gk) is one:
 
     P(g0, g1, .., gk) = F(g0, g1) P(g0g1, g2, .., gk),   P(g0) = 1.
 
-TransportPrefactor evaluates P by this recursion, memoized over every
-tuple it reaches, so a tuple costs one F lookup and one product; value,
-the per-degree lists values and inverses (P^{-1} of values), transport
-and the conjugated pulls (conjugator) all read it.  P is a `scalars.Unit`
-when F's values are Units, so a conjugated coefficient is a sum of
-exponents.  transport and transport_inverse evaluate P, or P^{-1}, only
-at the nonzero entries of the cochain.  On stored operator rows
-conjugation is a diagonal scaling (row_conjugator).  One TwistedRows view
-per (group, chi, F), from twisted_rows, an lru_cache bounded at two views,
-holds the prefactor and the rows of P X P^{-1} per (op, k), conjugated on
-first read: cohomology_dims(twist=), apply_b/lambda_twisted and part (b)
-of verify_transport read it, so the hh and hc dims and the certificate of
-one twist build each P and conjugate each row once.
+TransportPrefactor (defined in cyclic, whose row store reads it) evaluates
+P by this recursion, memoized over every tuple it reaches, so a tuple
+costs one F lookup and one product; its per-degree lists, transport and
+the conjugated pulls (its wrap, which conjugator returns) all read it.  P
+is a `scalars.Unit` when F's values are Units, so a conjugated coefficient
+is a sum of exponents.  transport and transport_inverse evaluate P, or
+P^{-1}, only at the nonzero entries of the cochain.  On stored rows
+conjugation is a diagonal scaling, kept in the twisted store
+cyclic.operators(group, chi, F): cohomology_dims(twist=),
+apply_b/lambda_twisted and verify_transport read it, so the hh and hc dims
+and the certificate of one twist build each P and each row once.
 Conjugation is the normative definition: the conjugated module satisfies
 every cocyclic identity automatically, so identity checks on it exercise
 the transport code, not the algebra.  The group-like specializations of
@@ -39,14 +37,13 @@ from __future__ import annotations
 
 import os
 import time
-from functools import lru_cache
 
 from .cochains import Cochain2, braiding_R, coboundary_phi
 from .cyclic import (
     CyclicCochain,
-    OperatorCache,
+    TransportPrefactor,
     _apply_stored,
-    _mul_table,
+    _check_same_group,
     compose_rows,
     face_pull,
     full_tuples,
@@ -55,67 +52,8 @@ from .cyclic import (
     operators,
     row_counterexample,
     sample_tuples,
-    stored_rows,
 )
-from .groups import GroupSpec, InfiniteGroup, SpecMismatch
-from .scalars import Unit
-
-_ONE = Unit.one()
-
-
-class TransportPrefactor:
-    """Memoized evaluator of the left-to-right transport prefactor and of
-    its inverse, one memo each, and on a finite group their lists over the
-    support tuples of a degree, one per degree and side."""
-
-    __slots__ = ("F", "_mul", "_memo", "_inverse", "_lists")
-
-    def __init__(self, F: Cochain2):
-        self.F = F
-        self._mul = _mul_table(F.group)
-        self._memo = {}
-        self._inverse = {}
-        self._lists = {}  # k -> values(k); ~k -> inverses(k)
-
-    def value(self, gs: tuple):
-        """P at the tuple gs, its elements reduced."""
-        return self._at(gs)
-
-    def _at(self, gs: tuple):
-        # P(g0, g1, ..) = F(g0, g1) P(g0g1, ..), recursing here rather than
-        # through value, so that a traced value counts the caller's lookups
-        out = self._memo.get(gs)
-        if out is None:
-            if len(gs) < 2:
-                out = _ONE
-            else:
-                g0, g1 = gs[0], gs[1]
-                out = self.F.value(g0, g1) * self._at((self._mul[g0, g1],) + gs[2:])
-            self._memo[gs] = out
-        return out
-
-    def inverse_value(self, gs: tuple):
-        out = self._inverse.get(gs)
-        if out is None:
-            out = self._inverse[gs] = self._at(gs).inverse()
-        return out
-
-    def values(self, k: int) -> list:
-        """P at each support tuple of degree k, in full_tuples order."""
-        out = self._lists.get(k)
-        if out is None:
-            out = self._lists[k] = [self.value(t) for t in full_tuples(self.F.group, k)]
-        return out
-
-    def inverses(self, k: int) -> dict:
-        """{1: P^{-1}, -1: -P^{-1}} at each support tuple of degree k, in
-        full_tuples order, the inverses of values(k): a +-1 row entry reads
-        its product from a list."""
-        out = self._lists.get(~k)
-        if out is None:
-            inv = [p.inverse() for p in self.values(k)]
-            out = self._lists[~k] = {1: inv, -1: [-x for x in inv]}
-        return out
+from .groups import GroupSpec, InfiniteGroup
 
 
 def transport(phi: CyclicCochain, F: Cochain2) -> CyclicCochain:
@@ -129,11 +67,6 @@ def transport_inverse(phi: CyclicCochain, F: Cochain2) -> CyclicCochain:
     return _scale(phi, TransportPrefactor(F).inverse_value)
 
 
-def _check_same_group(F: Cochain2, group: GroupSpec):
-    if F.group != group:
-        raise SpecMismatch("cochain and twist live on different groups")
-
-
 def _scale(phi: CyclicCochain, factor) -> CyclicCochain:
     # multiply each nonzero entry by factor at its support tuple, evaluated
     # there only
@@ -143,77 +76,8 @@ def _scale(phi: CyclicCochain, factor) -> CyclicCochain:
 
 
 def conjugator(F: Cochain2):
-    """wrap(pull) -> pull conjugating one atom by transport.
-
-    Coefficients telescope under composition, so conjugating every atom of
-    a composite equals conjugating the composite.
-    """
-    return _conjugator(TransportPrefactor(F))
-
-
-def _conjugator(pref: TransportPrefactor):
-    def wrap(pull):
-        def wrapped(t):
-            t_in, c = pull(t)
-            return t_in, pref.value(t) * c * pref.inverse_value(t_in)
-
-        return wrapped
-
-    return wrap
-
-
-def row_conjugator(pref: TransportPrefactor, group: GroupSpec):
-    """conj(rows, out_degree, in_degree) -> the rows of P X P^{-1}, for the
-    rows of an operator X: C^in_degree -> C^out_degree.
-
-    This is conjugation written on rows, a diagonal scaling: the entry
-    (r, col, c) becomes P(out_r) c P^{-1}(in_col), out_r and in_col the
-    support tuples of row r and column col.  P and P^{-1} are the lists
-    pref.values and pref.inverses, built once per degree and side for as
-    long as pref lives; a +-1 entry takes P^{-1} or -P^{-1} from a list,
-    one product per entry.
-    """
-    _check_same_group(pref.F, group)
-
-    def conj(rows, out_degree, in_degree):
-        signed = pref.inverses(in_degree)
-        inv = signed[1]
-        return [
-            [(col, p * (signed[c][col] if c.__class__ is int else c * inv[col]))
-             for col, c in row]
-            for p, row in zip(pref.values(out_degree), rows)
-        ]
-
-    return conj
-
-
-class TwistedRows:
-    """The stored operators of one (group, chi) conjugated by one twist F:
-    the prefactor of F, and the rows of P X P^{-1} per (op, k), each
-    conjugated by row_conjugator on first read and kept as long as the
-    view."""
-
-    def __init__(self, group: GroupSpec, chi: tuple, F: Cochain2):
-        self.group, self.chi = group, chi
-        self.prefactor = TransportPrefactor(F)
-        self._conj = row_conjugator(self.prefactor, group)
-        self._rows = {}
-
-    def rows(self, op: str, k: int):
-        """The conjugated rows of op on C^k."""
-        out = self._rows.get((op, k))
-        if out is None:
-            plain = operators(self.group, self.chi).rows(op, k)
-            out = self._rows[op, k] = self._conj(plain, k + OperatorCache.OPS[op], k)
-        return out
-
-
-@lru_cache(maxsize=2)
-def twisted_rows(group: GroupSpec, chi: tuple, F: Cochain2) -> TwistedRows:
-    """The shared view of (group, chi) under F, chi as check_weight returns
-    it.  The two most recent are kept, as operators() keeps two stores: the
-    hh and hc dims of one family read one back to back."""
-    return TwistedRows(group, chi, F)
+    """wrap(pull) -> pull conjugated by transport, TransportPrefactor.wrap."""
+    return TransportPrefactor(F).wrap
 
 
 def apply_b_twisted(phi: CyclicCochain, F: Cochain2) -> CyclicCochain:
@@ -295,9 +159,9 @@ def verify_transport(
     (b) transport intertwines the untwisted and conjugated coboundaries:
         b^F T = T b on C^k for every k <= degree_max, decided exactly on a
         finite group on the rows that cohomology_dims(twist=) eliminates,
-        the b rows of the twist's view (twisted_rows), composed with the
-        diagonal rows of T, read from the view's prefactor; skipped on
-        infinite groups;
+        the b rows of the twisted store (cyclic.operators(group, chi, F)),
+        composed with the diagonal rows of T, read from the store's
+        prefactor; skipped on infinite groups;
     (c) the twisted-calculus character equals transport of the untwisted one,
     (d) direct group-like evaluators vs conjugated operators, informational.
     Finite groups run exhaustively; infinite ones need a window bound.
@@ -314,12 +178,12 @@ def verify_transport(
     def add(name, status, counterexample=None, domain=pointwise):
         identities.append(cert_row(name, status, domain, counterexample))
 
-    # one prefactor memo for the whole certificate, the twisted view's:
-    # (a) and (d) read the same conjugated pulls, (b) the view's rows, (c)
-    # the same transport
-    view = twisted_rows(group, chi, F)
-    pref = view.prefactor
-    wrap = _conjugator(pref)
+    # one prefactor memo for the whole certificate, the twisted store's:
+    # (a) and (d) read its conjugated pulls, (b) the store's rows, (c) its
+    # values
+    store = operators(group, chi, F)
+    pref = store.prefactor
+    wrap = pref.wrap
 
     # (a) cocyclic identities for the conjugated operators
     for rep in identity_suite(
@@ -334,12 +198,12 @@ def verify_transport(
 
     # (b) b^F T = T b as operators, T the diagonal rows of the prefactor
     if finite:
-        rows = stored_rows(group, chi)
+        plain = operators(group, chi).rows
         bad = None
         T = [[[(i, p)] for i, p in enumerate(pref.values(k))] for k in range(degree_max + 2)]
         for k in range(degree_max + 1):
-            lhs = compose_rows(view.rows("b", k), T[k])
-            rhs = compose_rows(T[k + 1], rows("b", k))
+            lhs = compose_rows(store.rows("b", k), T[k])
+            rhs = compose_rows(T[k + 1], plain("b", k))
             bad = row_counterexample(group, k, k + 1, lhs, rhs)
             if bad is not None:
                 break

@@ -1,13 +1,12 @@
 import pytest
 
-from quasicyc import cyclic, twist
+from quasicyc import cyclic
 
 
 @pytest.fixture(autouse=True)
 def fresh_operator_store():
-    """Each test starts with an empty row store and no twisted view, so
-    rows built before a test patches an atom builder or the row conjugator
-    are never read under the patch."""
-    cyclic.operators.cache_clear()
-    twist.twisted_rows.cache_clear()
+    """Each test starts with an empty row store, plain and twisted, so rows
+    built before a test patches an atom builder or the row conjugation are
+    never read under the patch."""
+    cyclic._operator_store.cache_clear()
     yield

@@ -6,7 +6,6 @@ cochain they drew (formerly CyclicCochain.random).
 
 import random
 
-from quasicyc import twist
 from quasicyc.cochains import LawReport
 from quasicyc.cyclic import (
     CyclicCochain,
@@ -86,7 +85,7 @@ def sampled_transport_intertwines_b(F, chi, group, degree_max, seed=0, count=100
     is the conjugated pulls of b's atoms."""
     chi = group.check_weight(chi)
     pref = TransportPrefactor(F)
-    wrap = twist._conjugator(pref)  # looked up per call, as verify_transport does
+    wrap = pref.wrap  # read from the class per call, as verify_transport does
     rng = random.Random(seed)
     for _ in range(count):
         k = rng.randint(0, degree_max)

@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from quasicyc import cyclic, twist
+from quasicyc import cyclic
 from quasicyc.cochains import Cochain2
 from quasicyc.cyclic import (
     OperatorCache,
@@ -19,8 +19,8 @@ from quasicyc.cyclic import (
     full_tuples,
     identity_suite,
     mixed_complex_report,
+    operators,
     space_dim,
-    stored_rows,
 )
 from quasicyc.groups import GroupSpec
 from quasicyc.linalg import rank
@@ -117,7 +117,7 @@ def test_compose_rows_matches_applying_twice(group, chi, outer, inner):
 @pytest.mark.parametrize("group, chi", [(E3, OCT_CHI), (GroupSpec((4,)), (1,))],
                          ids=["octonion", "z4"])
 def test_composed_rows_go_to_rank_and_apply_rows(group, chi):
-    rows = stored_rows(group, chi)
+    rows = operators(group, chi).rows
     rng = random.Random(f"{group.cyclic_orders}{chi}")
     for k in range(3):
         n = space_dim(group, k)
@@ -202,24 +202,22 @@ def test_conjugator_skipping_inverse_is_caught(monkeypatch):
     # a degree-1 support tuple whose prefactor is not 1
     skipped = next(t for t in full_tuples(E3, 1) if pref.value(t) != 1)
 
-    def broken(pref):
-        def wrap(pull):
-            def wrapped(t):
-                t_in, c = pull(t)
-                if t_in == skipped:
-                    return t_in, pref.value(t) * c
-                return t_in, pref.value(t) * c * pref.inverse_value(t_in)
+    def broken(pref, pull):
+        def wrapped(t):
+            t_in, c = pull(t)
+            if t_in == skipped:
+                return t_in, pref.value(t) * c
+            return t_in, pref.value(t) * c * pref.inverse_value(t_in)
 
-            return wrapped
+        return wrapped
 
-        return wrap
-
-    monkeypatch.setattr(twist, "_conjugator", broken)
+    monkeypatch.setattr(TransportPrefactor, "wrap", broken)
     cert = verify_transport(OCT_F, OCT_CHI, E3, 2)
     assert not certificate_ok(cert)
     status = {r["name"]: r["status"] for r in cert["identities"]}
-    # part (a) reads the conjugated pulls; part (b) reads the stored rows
-    # scaled by row_conjugator, which the broken pulls do not touch
+    # part (a) reads the conjugated pulls; part (b) reads the twisted
+    # store's rows, scaled by OperatorCache._conjugate, which the broken
+    # pulls do not touch
     failed = {name for name, st in status.items() if st == "fail"}
     assert failed == {
         f"conjugated_{law}" for law in ("face_face", "deg_face", "lambda_face", "lambda_deg")
@@ -228,16 +226,14 @@ def test_conjugator_skipping_inverse_is_caught(monkeypatch):
     assert sampled_transport_intertwines_b(OCT_F, OCT_CHI, E3, 2, seed=0) is not None
 
 
-def _inverse_row_conjugator(pref, group):
-    """row_conjugator with P and P^{-1} swapped: rows of P^{-1} X P."""
-    def conj(rows, out_degree, in_degree):
-        outs, ins = full_tuples(group, out_degree), full_tuples(group, in_degree)
-        return [
-            [(col, pref.inverse_value(outs[r]) * pref.value(ins[col]) * c) for col, c in row]
-            for r, row in enumerate(rows)
-        ]
-
-    return conj
+def _inverse_conjugate(store, rows, out_degree, in_degree):
+    """OperatorCache._conjugate with P and P^{-1} swapped: rows of P^{-1} X P."""
+    pref, group = store.prefactor, store.group
+    outs, ins = full_tuples(group, out_degree), full_tuples(group, in_degree)
+    return [
+        [(col, pref.inverse_value(outs[r]) * pref.value(ins[col]) * c) for col, c in row]
+        for r, row in enumerate(rows)
+    ]
 
 
 def test_inverse_row_scaling_is_caught(monkeypatch):
@@ -245,8 +241,8 @@ def test_inverse_row_scaling_is_caught(monkeypatch):
     group, chi = GroupSpec((3,)), (1,)
     F = Cochain2.from_expr(group, ("root_of_unity", 3), "i1*i1*j1")
     dims = [cohomology_dims(group, chi, 3, which, twist=F) for which in ("hh", "hc")]
-    monkeypatch.setattr(twist, "row_conjugator", _inverse_row_conjugator)
-    twist.twisted_rows.cache_clear()  # so the twist's view is rebuilt with the patch
+    monkeypatch.setattr(OperatorCache, "_conjugate", _inverse_conjugate)
+    cyclic._operator_store.cache_clear()  # so the twisted store is rebuilt with the patch
     # an invertible row and column scaling keeps every rank, so dims alone
     # cannot see it ...
     assert [cohomology_dims(group, chi, 3, which, twist=F) for which in ("hh", "hc")] == dims

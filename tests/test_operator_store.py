@@ -8,11 +8,15 @@ any diagonal scaling, so the scaled rows are also compared entry by entry
 with rows built by conjugating every atom.
 """
 
+import ast
+import gc
 import json
 import math
 import os
 import random
+import weakref
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
@@ -24,13 +28,15 @@ from quasicyc.cyclic import (
     apply_rows,
     cohomology_dims,
     cyclic_cocycle_basis,
+    identity_suite,
+    mixed_complex_report,
     operators,
-    stored_rows,
+    periodicity_report,
 )
-from quasicyc.groups import GroupSpec
+from quasicyc.groups import GroupSpec, SpecMismatch
 from quasicyc.linalg import rank_kernel
 from quasicyc.scalars import Scalar
-from quasicyc.twist import apply_b_twisted, apply_lambda_twisted
+from quasicyc.twist import apply_b_twisted, apply_lambda_twisted, verify_transport
 
 REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "reference_dims.json")
 
@@ -81,7 +87,7 @@ def test_dims_match_the_parent(key):
 def test_scaled_rows_equal_conjugated_atoms(fam):
     grp, chi = fam
     for F in _twists(grp):
-        rows = stored_rows(grp, chi, F)
+        rows = operators(grp, chi, F).rows
         for k in range(FAMILIES[fam] + 1):
             for op in ("b", "lambda", "lambda_minus_id"):
                 assert rows(op, k) == dims_reference.conjugated_rows(grp, chi, F, op, k), (op, k)
@@ -153,5 +159,82 @@ def test_store_is_keyed_by_group_and_character():
     assert operators(GroupSpec((4,)), (1,)) is a
     assert operators(GroupSpec((4,)), (3,)) is not a
     assert operators(GroupSpec((2, 2)), (1, 0)) is not operators(GroupSpec((2, 2)), (0, 1))
-    assert operators.cache_info().maxsize == 2
+    assert cyclic._operator_store.cache_info().maxsize == 2
 
+
+
+def _store_traffic():
+    info = cyclic._operator_store.cache_info()
+    return info.currsize, info.misses
+
+
+def test_every_call_form_of_one_key_reaches_one_store():
+    grp, chi = GroupSpec((4,)), (1,)
+    store = operators(grp, chi)
+    assert operators(grp, chi, None) is store
+    assert operators(grp, chi, twist=None) is store
+    assert operators(grp, [5]) is store  # chi as check_weight normalizes it
+    # the plain readers: identity_suite's tables and the rows of the
+    # reports, the dims and the plain apply functions
+    identity_suite(grp, chi, 2)
+    assert store.tables
+    mixed_complex_report(grp, chi, 2)
+    periodicity_report(grp, chi, 1)
+    cohomology_dims(grp, chi, 2, "hc")
+    cyclic.apply_b(CyclicCochain.basis(grp, chi, 1, 0))
+    assert _store_traffic() == (1, 1)
+
+
+def test_a_twisted_family_builds_one_plain_and_one_twisted_store():
+    grp, chi = GroupSpec((4,)), (1,)
+    F = _twists(grp)[1]
+    phi = CyclicCochain.basis(grp, chi, 1, 1)
+    for which in ("hh", "hc"):
+        cohomology_dims(grp, chi, 2, which)
+        cohomology_dims(grp, chi, 2, which, twist=F)
+    apply_b_twisted(phi, F)
+    apply_lambda_twisted(phi, F)
+    cyclic.apply_b(phi)
+    verify_transport(F, chi, grp, 2)
+    assert _store_traffic() == (2, 2)
+    twisted = operators(grp, chi, F)
+    assert twisted is not operators(grp, chi) and twisted.prefactor.F is F
+
+
+def test_a_twist_on_another_group_raises():
+    F = _twists(GroupSpec((2, 2)))[0]
+    for call in (
+        lambda: operators(GroupSpec((4,)), (1,), F),
+        lambda: cohomology_dims(GroupSpec((4,)), (1,), 1, "hh", twist=F),
+        lambda: apply_b_twisted(CyclicCochain.basis(GroupSpec((4,)), (1,), 1, 0), F),
+    ):
+        with pytest.raises(SpecMismatch):
+            call()
+    assert _store_traffic() == (0, 0)
+
+
+def test_a_third_key_evicts_the_oldest_store():
+    grp = GroupSpec((4,))
+    F = _twists(grp)[0]
+    first = operators(grp, (1,))
+    gone = weakref.ref(first)
+    operators(grp, (1,), F)
+    operators(grp, (3,))
+    assert _store_traffic() == (2, 3)
+    del first
+    gc.collect()
+    assert gone() is None
+    assert operators(grp, (1,), F).rows("b", 1) == dims_reference.conjugated_rows(
+        grp, (1,), F, "b", 1)
+
+
+def test_cyclic_imports_nothing_from_twist():
+    tree = ast.parse(Path(cyclic.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        assert not any(n.split(".")[-1] == "twist" for n in names), ast.dump(node)

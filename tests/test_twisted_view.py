@@ -1,9 +1,9 @@
 """The transport prefactor built by recursion over suffixes, and the shared
-twisted view of each (group, chi, twist).
+twisted store of each (group, chi, twist), cyclic.operators(group, chi, F).
 
 P(g0, g1, .., gk) = F(g0, g1) P(g0g1, g2, .., gk) is compared with the
 k-product loop of prefactor_reference on the octonions, on a table twist
-with non-monomial cyclotomic values and on sampled torus tuples.  The view
+with non-monomial cyclotomic values and on sampled torus tuples.  The store
 is checked for the work it saves (each P built once, each row conjugated
 once, across the hh and hc dims and the certificate of one twist), for
 its bound, and for reading the rows of its own twist only.
@@ -18,9 +18,16 @@ import pytest
 
 import dims_reference
 import prefactor_reference
-from quasicyc import twist
+from quasicyc import cyclic
 from quasicyc.cochains import Cochain2
-from quasicyc.cyclic import CyclicCochain, cohomology_dims, full_tuples, sample_tuples, stored_rows
+from quasicyc.cyclic import (
+    CyclicCochain,
+    OperatorCache,
+    cohomology_dims,
+    full_tuples,
+    operators,
+    sample_tuples,
+)
 from quasicyc.groups import GroupSpec
 from quasicyc.presets import builtin, load
 from quasicyc.scalars import Scalar
@@ -29,7 +36,6 @@ from quasicyc.twist import (
     certificate_ok,
     transport,
     transport_inverse,
-    twisted_rows,
     verify_transport,
 )
 
@@ -129,19 +135,14 @@ def test_transport_equals_the_dense_reference():
 
 def _count_conjugations(monkeypatch):
     """(rows id, out degree, in degree) of every conjugation from now on,
-    by any view built after the call."""
-    calls, orig = [], twist.row_conjugator
+    by any twisted store."""
+    calls, orig = [], OperatorCache._conjugate
 
-    def counting(pref, group):
-        conj = orig(pref, group)
+    def counted(store, rows, out_degree, in_degree):
+        calls.append((id(rows), out_degree, in_degree))
+        return orig(store, rows, out_degree, in_degree)
 
-        def counted(rows, out_degree, in_degree):
-            calls.append((id(rows), out_degree, in_degree))
-            return conj(rows, out_degree, in_degree)
-
-        return counted
-
-    monkeypatch.setattr(twist, "row_conjugator", counting)
+    monkeypatch.setattr(OperatorCache, "_conjugate", counted)
     return calls
 
 
@@ -157,7 +158,7 @@ def test_hh_and_hc_of_one_twist_build_each_prefactor_and_row_once(monkeypatch):
     # hh conjugates b, hc lambda - id and reads hh's b: six (op, k), once each
     assert len(conjugated) == len(set(conjugated)) == 6
     assert dims == [cohomology_dims(Z4, chi, 2, which) for which in ("hh", "hc")]
-    # a rerun and the certificate's part (b) read the same view
+    # a rerun and the certificate's part (b) read the same twisted store
     assert [cohomology_dims(Z4, chi, 2, which, twist=F) for which in ("hh", "hc")] == dims
     assert len(lookups) == 84
     cert = verify_transport(F, chi, Z4, 2)
@@ -169,16 +170,16 @@ def test_a_third_twist_evicts_the_oldest_view():
     chi = (1,)
     twists = [Cochain2.from_expr(Z4, ("root_of_unity", 4), e)
               for e in ("i1*j1", "i1*j1*j1", "i1*i1*j1")]
-    first = twisted_rows(Z4, chi, twists[0])
+    first = operators(Z4, chi, twists[0])
     gone = weakref.ref(first)
     for F in twists:
         cohomology_dims(Z4, chi, 1, "hh", twist=F)
-        assert twisted_rows.cache_info().currsize <= 2
-    assert twisted_rows.cache_info().currsize == 2
+        assert cyclic._operator_store.cache_info().currsize <= 2
+    assert cyclic._operator_store.cache_info().currsize == 2
     del first
     gc.collect()
     assert gone() is None
-    again = stored_rows(Z4, chi, twists[0])("b", 1)
+    again = operators(Z4, chi, twists[0]).rows("b", 1)
     assert again == dims_reference.conjugated_rows(Z4, chi, twists[0], "b", 1)
 
 
@@ -189,10 +190,10 @@ def test_each_twist_reads_its_own_view():
     for F in (F1, F2, F1):
         for k in range(3):
             for op in ("b", "lambda"):
-                assert stored_rows(Z3, chi, F)(op, k) == dims_reference.conjugated_rows(
+                assert operators(Z3, chi, F).rows(op, k) == dims_reference.conjugated_rows(
                     Z3, chi, F, op, k), (op, k)
-    assert stored_rows(Z3, chi, F1)("b", 1) != stored_rows(Z3, chi, F2)("b", 1)
-    # the certificate of the second twist, with the first one's view cached
+    assert operators(Z3, chi, F1).rows("b", 1) != operators(Z3, chi, F2).rows("b", 1)
+    # the certificate of the second twist, with the first one's store cached
     for F in (F2, F1):
         cert = verify_transport(F, chi, Z3, 2)
         assert {r["name"]: r["status"] for r in cert["identities"]}["transport_intertwines_b"] == "pass"

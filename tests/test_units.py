@@ -216,3 +216,16 @@ def test_pointwise_paths_make_no_scalar_products(scalar_counts):
     reps = identity_suite(torus.group, (), 2, wrap=conjugator(F), window=2, samples=20, seed=3)
     assert reps and all(rep.holds for rep in reps)
     assert scalar_counts == {"laurent_products": 0, "inverses": 0}
+
+
+def test_a_unit_times_a_cyclic_cochain_equals_the_scalar_product():
+    from quasicyc.cyclic import CyclicCochain
+
+    phi = CyclicCochain.basis(GroupSpec((4,)), (1,), 1, 2)
+    for u in (Unit.root_of_unity(4, 1), Unit(Fraction(-1, 3), 4, 3), Unit.one()):
+        assert u * phi == u.scalar() * phi
+        assert (u * phi).vec[2] == u.scalar()
+    assert Fraction(1, 2) * phi == Scalar.rational(1, 2) * phi
+    for bad in (object(), 0.5, "2"):
+        with pytest.raises(TypeError):
+            bad * phi
