@@ -61,8 +61,10 @@ from .twist import (
     verify_transport,
 )
 
-# periodicity needs an exact kernel basis of C^k, a rank computation whose
-# cost grows with |G|^k; capped so the suite stays at desk scale
+# periodicity needs an exact kernel basis of C^k and applies S, lambda and b
+# to it on C^(k+2) -> C^(k+3), so its cost grows with |G|^(k+3).  On the
+# octonions degree 2 takes 0.6-0.9 s and degree 3 24-30 s in-process
+# on a 2-vCPU host; capped so the suite stays at desk scale
 PERIODICITY_DEGREE_CAP = 2
 
 _SUITES = ("cochain", "algebra", "calculus", "cyclic", "twist", "all")

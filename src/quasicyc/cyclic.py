@@ -28,7 +28,10 @@ each side's primitives at every sampled tuple, each evaluated at most
 once per tuple in a call, from a memo keyed by (kind, degree, index) that
 it drops on return.  Operators act on vectors only as sparse rows, lists
 of (col, coeff) pairs, built by atom_rows from the atoms' tables and
-applied by the one applier apply_rows.  compose_rows multiplies two row
+applied by the one applier apply_rows (linalg's): it sums on integer
+power-basis vectors in Z[zeta_N] with the entry reader and products that
+linalg.rank uses, and forms one Scalar per nonzero output entry; an int
+vector stays ints under +-1 rows.  compose_rows multiplies two row
 sets into the rows of the composite, in the same shape, so an operator
 identity on a finite group is decided exactly, for every cochain, by
 comparing composites:
@@ -72,7 +75,7 @@ from functools import lru_cache
 
 from .cochains import LawReport
 from .groups import GroupSpec, InfiniteGroup, SpecMismatch
-from .linalg import rank, rank_kernel
+from .linalg import apply_rows, rank, rank_kernel
 from .scalars import Scalar, Unit
 
 
@@ -566,26 +569,6 @@ def row_counterexample(group, in_degree, out_degree, rows, other=None):
     return None
 
 
-def apply_rows(rows, vec, zero):
-    """Apply sparse rows to a vector of ints or Scalars; each output entry
-    starts from zero.  Under +-1 rows an int vector stays an int vector."""
-    out = []
-    for row in rows:
-        acc = zero
-        for col, c in row:
-            x = vec[col]
-            if not x:
-                continue
-            if c == 1:
-                acc = acc + x
-            elif c == -1:
-                acc = acc - x
-            else:
-                acc = acc + c * x
-        out.append(acc)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the transport prefactor of a twist and the row store
 
@@ -788,15 +771,19 @@ def periodicity_report(
     group: GroupSpec, chi, degree_max: int
 ) -> list[LawReport]:
     """S maps lambda-invariant b-cocycles to lambda-invariant b-cocycles,
-    checked on a kernel basis per degree."""
+    checked on a kernel basis per degree; the domain names how many basis
+    vectors each degree has, so a degree with none shows as 0."""
     _check_degree_max(degree_max)
     chi = group.check_weight(chi)
-    domain = f"cocycle bases, degrees <= {degree_max}"
-    for m in range(degree_max + 1):
-        for j, v in enumerate(cyclic_cocycle_basis(group, chi, m)):
-            phi = CyclicCochain(group, chi, m, v)
-            out = apply_S(phi)
-            if not (apply_lambda(out) - out).is_zero():
+    bases = [cyclic_cocycle_basis(group, chi, m) for m in range(degree_max + 1)]
+    domain = (
+        f"cocycle bases, degrees <= {degree_max}: "
+        f"{' + '.join(str(len(basis)) for basis in bases)} vectors"
+    )
+    for m, basis in enumerate(bases):
+        for j, v in enumerate(basis):
+            out = apply_S(CyclicCochain(group, chi, m, v))
+            if apply_lambda(out).vec != out.vec:
                 return [LawReport(
                     "S_preserves_cocycles", domain, False,
                     f"degree {m} basis vector {j}: lambda invariance",

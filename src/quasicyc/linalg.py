@@ -1,18 +1,31 @@
 """Exact linear algebra over field scalars (rational or cyclotomic).
 
-rank and rank_kernel take a matrix as sparse rows, each a list of (col,
-value) pairs, the form in which `cyclic.OperatorCache` stores operator rows.
-The values are ints, `scalars.Unit`s or Scalars of one field Q(zeta_N) (Q
-being N = 1); a column named twice in one row is summed, and zeros are
-dropped.  The rows are read, never mutated, so a stored row set can be
-eliminated again or stacked with others.
+rank, rank_kernel and apply_rows take a matrix as sparse rows, each a list
+of (col, value) pairs, the form in which `cyclic.OperatorCache` stores
+operator rows.  The values are ints, `scalars.Unit`s or Scalars of one field
+Q(zeta_N) (Q being N = 1); a column named twice in one row is summed, and
+zeros are dropped.  The rows are read, never mutated, so a stored row set
+can be eliminated or applied again, or stacked with others.
 
-Both run one forward elimination, on integer coefficient vectors in
-Z[zeta_N]: an entry is its power-basis tuple of phi(N) ints, the payload of
-a cyclotomic Scalar (a 1-tuple on Q), multiplied by scalars._cyc_mul, whose
-products are memoized per N as they are first asked for, in a bounded memo.
-A row with Fraction coordinates is first scaled by the lcm of their
-denominators, which leaves its span unchanged.  Columns are taken in order,
+All three work on integer coefficient vectors in Z[zeta_N], and N is read
+once per call by _field_order, which rejects Laurent entries and a second
+cyclotomic field.  One entry reader, _reader, turns a value into its
+power-basis tuple of phi(N) coordinates: the payload of a Scalar (a 1-tuple
+on Q), and c * zeta^a of an int or a Unit, +-zeta^a read from the ring's
+tables.  A row whose entries have Fraction coordinates is scaled by the lcm
+of their denominators.  Tuples are multiplied by scalars._cyc_mul, whose
+products are memoized per N as they are first asked for, in a bounded memo;
+a +-1 int entry needs no reader and no product.
+
+apply_rows, the one applier of operator rows (cyclic re-exports it), reads
+the vector the same way, scaled by one lcm of its denominators, adds or
+subtracts the vector's tuple at a +-1 entry and multiplies at every other,
+and divides each nonzero output sum back by both scales once, into a
+Scalar; ints stay ints under ints.  tests/dims_reference.py keeps a
+Scalar applier that its results are tested against.
+
+rank and rank_kernel run one forward elimination on the rows so read.
+A row's scaling leaves its span unchanged.  Columns are taken in order,
 and zeros are never stored.  The pivot p of a column is a remaining row
 whose entry there is a unit u = +-zeta^a, the one with the fewest entries;
 a row r with entry f there becomes r - (f u^-1) p, with no division, since
@@ -42,10 +55,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
 from operator import add, neg, sub
 
-from .scalars import CYCLOTOMIC, LAURENT, RingMismatch, Scalar, Unit, _cyc_mul, _cyc_reduce
+from .scalars import CYCLOTOMIC, LAURENT, RingMismatch, Scalar, Unit, _cyc_mul, _cyc_reduce, _cyc_value
 
 
 class LaurentScalars(TypeError):
@@ -108,63 +122,41 @@ def _neg(v: tuple) -> tuple:
     return tuple(map(neg, v))
 
 
-def _int_rows(rows, N: int) -> list[dict]:
-    """The nonempty rows as {col: power-basis tuple} dicts of ints: ints and
-    Units read as c * zeta^a, a Scalar as its payload, a repeated column
-    summed, zeros dropped, and a row with a Fraction coordinate scaled by
-    the lcm of the denominators."""
+def _reader(N: int):
+    """The entry reader of Z[zeta_N], which rank and apply_rows share:
+    read(x) is None for a zero x, else the power-basis tuple of x.  An int c
+    and a Unit c * zeta^a read as c * zeta^a (+-1 and +-zeta^a from the
+    ring's tables), a Scalar as its payload.  Only a Scalar, or a Unit whose
+    c is a Fraction, gives Fraction coordinates."""
     powers, negated = _ring(N)[:2]
     one, minus = powers[0], negated[0]
     pad = one[1:]
-    out = []
-    for row in rows:
-        acc = {}
-        frac = False
-        for j, x in row:
-            cls = x.__class__
-            if cls is int:
-                if not x:
-                    continue
-                v = one if x == 1 else minus if x == -1 else (x,) + pad
-            elif cls is Unit:
-                c = x.c
-                if c == 1:
-                    v = powers[x.a]
-                elif c == -1:
-                    v = negated[x.a]
-                else:
-                    frac |= c.__class__ is not int
-                    v = tuple([c * y for y in powers[x.a]])
-            elif not x:
-                continue
-            elif x.tag == CYCLOTOMIC:
-                v = x.payload
-                frac |= any(y.__class__ is not int for y in v)
-            else:
-                v = (x.payload,) + pad
-                frac |= x.payload.__class__ is not int
-            prev = acc.get(j)
-            if prev is not None:
-                v = tuple(map(add, prev, v))
-                if not any(v):
-                    del acc[j]
-                    continue
-            acc[j] = v
-        if frac:
-            den = lcm(*(y.denominator for v in acc.values() for y in v if y.__class__ is Fraction))
-            acc = {j: tuple([int(y * den) for y in v]) for j, v in acc.items()}
-        if acc:
-            out.append(acc)
-    return out
+
+    def read(x):
+        cls = x.__class__
+        if cls is Unit:
+            c = x.c
+            if c == 1:
+                return powers[x.a]
+            if c == -1:
+                return negated[x.a]
+            return tuple([c * y for y in powers[x.a]])
+        if cls is int:
+            if not x:
+                return None
+            return one if x == 1 else minus if x == -1 else (x,) + pad
+        if not x:
+            return None
+        return x.payload if x.tag == CYCLOTOMIC else (x.payload,) + pad
+
+    return read
 
 
-def _echelon(rows, N: int) -> dict:
-    """Forward-eliminate the nonempty {col: tuple} rows in place; return
-    {pivot col: (pivot entry, pivot row without that entry)}, in column
-    order."""
-    powers, _, inverses, products = _ring(N)
-    one = powers[0]
-    room = _MEMO_COORDS // len(one)
+def _multiplier(N: int):
+    """mul(a, b), the product of two power-basis tuples in Z[zeta_N], read
+    from or written to the ring's bounded products memo."""
+    powers, _, _, products = _ring(N)
+    room = _MEMO_COORDS // len(powers[0])
 
     def mul(a, b):
         p = products.get((a, b))
@@ -174,6 +166,135 @@ def _echelon(rows, N: int) -> dict:
             p = products[a, b] = _cyc_mul(N, a, b)
         return p
 
+    return mul
+
+
+def _scaled(v: tuple, den: int) -> tuple:
+    """The tuple v times den, a multiple of every denominator in it, as a
+    tuple of ints."""
+    return tuple([y * den if y.__class__ is int else y.numerator * (den // y.denominator) for y in v])
+
+
+def _den(vs) -> int:
+    """The lcm of the denominators of the Fraction coordinates of vs."""
+    return lcm(*(y.denominator for v in vs for y in v if y.__class__ is Fraction))
+
+
+def _int_rows(rows, N: int) -> list[dict]:
+    """The nonempty rows as {col: power-basis tuple} dicts of ints, each
+    entry read by _reader, a repeated column summed, zeros dropped, and a
+    row with a Fraction coordinate scaled by the lcm of the denominators.
+    Every rank reads every entry, so +-1 and +-zeta^a, the entries of plain
+    and root-of-unity twisted rows, are looked up here as the reader would
+    (a call per entry made rank about 4% slower on the dims matrices)."""
+    read = _reader(N)
+    powers, negated = _ring(N)[:2]
+    one, minus = powers[0], negated[0]
+    out = []
+    for row in rows:
+        acc = {}
+        frac = False
+        for j, x in row:
+            cls = x.__class__
+            if cls is int and (x == 1 or x == -1):
+                v = one if x == 1 else minus
+            elif cls is Unit and (x.c == 1 or x.c == -1):
+                v = (powers if x.c == 1 else negated)[x.a]
+            else:
+                v = read(x)
+                if v is None:
+                    continue
+                frac = frac or cls is not int  # a Scalar, or a Unit c * zeta^a
+            prev = acc.get(j)
+            if prev is not None:
+                v = tuple(map(add, prev, v))
+                if not any(v):
+                    del acc[j]
+                    continue
+            acc[j] = v
+        if frac:
+            den = _den(acc.values())
+            if den > 1:
+                acc = {j: _scaled(v, den) for j, v in acc.items()}
+        if acc:
+            out.append(acc)
+    return out
+
+
+def apply_rows(rows, vec, zero):
+    """Apply sparse rows to a vector of ints or Scalars (Units pass too),
+    exactly, on integer power-basis vectors in Z[zeta_N].
+
+    N is read once from the rows and the vector, as linalg.rank reads it: a
+    Laurent entry raises LaurentScalars, two cyclotomic fields RingMismatch.
+    The vector is read as payload tuples scaled by the lcm of its
+    denominators.  A +-1 int entry adds or subtracts the vector's tuple;
+    every other entry is read by linalg's entry reader and multiplied
+    through the ring's products memo, a row whose read entries have Fraction
+    coordinates scaled by the lcm of their denominators first.  An output
+    entry whose sum is zero is zero; otherwise the sum, divided by both
+    scales, is a Scalar, or an int when the vector and every entry its row
+    read are ints."""
+    N = _field_order(chain(rows, (enumerate(vec),)), len(vec))
+    read, mul = _reader(N), _multiplier(N)
+    powers, negated = _ring(N)[:2]
+    one, minus = powers[0], negated[0]
+    ivec = [read(x) for x in vec]
+    vden = _den([v for v in ivec if v is not None])
+    if vden > 1:
+        ivec = [None if v is None else _scaled(v, vden) for v in ivec]
+    ints = all(x.__class__ is int for x in vec)
+    out = []
+    for row in rows:
+        acc = None  # the row's sum, first over its +-1 entries
+        rest = []  # (entry's tuple, vector's tuple) over its other entries
+        whole = ints  # an int vector, and only int entries read so far
+        for col, c in row:
+            x = ivec[col]
+            if x is None:
+                continue
+            if c.__class__ is not int or not (c == 1 or c == -1):
+                v = read(c)
+                if v is None:
+                    continue
+                if v != one and v != minus:
+                    whole = whole and c.__class__ is int
+                    rest.append((v, x))
+                    continue
+                c = 1 if v == one else -1
+            if acc is None:
+                acc = x if c == 1 else _neg(x)
+            else:
+                acc = tuple(map(add if c == 1 else sub, acc, x))
+        den = vden
+        if rest:
+            rden = _den([v for v, _ in rest])
+            if rden > 1:
+                rest = [(_scaled(v, rden), x) for v, x in rest]
+                if acc is not None:
+                    acc = tuple([rden * y for y in acc])
+                den *= rden
+            for v, x in rest:
+                p = mul(v, x)
+                acc = p if acc is None else tuple(map(add, acc, p))
+        if acc is None or not any(acc):
+            out.append(zero)
+        elif whole:
+            out.append(acc[0])
+        else:
+            if den > 1:
+                acc = tuple([Fraction(y, den) if y % den else y // den for y in acc])
+            out.append(_cyc_value(N, acc))
+    return out
+
+
+def _echelon(rows, N: int) -> dict:
+    """Forward-eliminate the nonempty {col: tuple} rows in place; return
+    {pivot col: (pivot entry, pivot row without that entry)}, in column
+    order."""
+    powers, _, inverses, _ = _ring(N)
+    one = powers[0]
+    mul = _multiplier(N)
     live = rows
     pivots: dict = {}
     for c in sorted({j for r in rows for j in r}):

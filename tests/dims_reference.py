@@ -1,7 +1,8 @@
 """The cohomology_dims that the shared row store replaced, kept as the
-reference, with the dense-input rank_kernel it called and the atom_rows
+reference, with the dense-input rank_kernel it called, the atom_rows
 that pulled every output tuple through every atom, before rows were built
-from pullback tables.
+from pullback tables, and the applier apply_rows that summed Scalars,
+before rows were applied on integer vectors in Z[zeta_N].
 
 Each call rebuilds its b and lambda - id rows from the atoms; a twisted
 call wraps every atom with twist.conjugator, so each entry is pulled
@@ -12,7 +13,6 @@ hc rank is the rank of the b-images of a kernel basis of lambda - id.
 from functools import lru_cache
 
 from quasicyc.cyclic import (
-    apply_rows,
     b_atoms as plain_b_atoms,
     full_tuples,
     identity_pull,
@@ -58,6 +58,26 @@ def atom_rows(group, atoms, out_degree):
             else:
                 row.append((_index(group, t_in[1:]), v))
         yield row
+
+
+def apply_rows(rows, vec, zero):
+    """Apply sparse rows to a vector of ints or Scalars; each output entry
+    starts from zero.  Under +-1 rows an int vector stays an int vector."""
+    out = []
+    for row in rows:
+        acc = zero
+        for col, c in row:
+            x = vec[col]
+            if not x:
+                continue
+            if c == 1:
+                acc = acc + x
+            elif c == -1:
+                acc = acc - x
+            else:
+                acc = acc + c * x
+        out.append(acc)
+    return out
 
 
 def _check_field(rows):

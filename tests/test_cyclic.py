@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import dims_reference
 from quasicyc.cochains import braiding_R
 from quasicyc.cyclic import (
     CyclicCochain,
@@ -273,10 +274,11 @@ def test_apply_rows_streamed_stored_int_scalar(group, chi, op, units):
     stored = OperatorCache(group, chi).rows(op, k)
     assert stored == list(atom_rows(group, atoms, out_degree))
 
-    int_out = apply_rows(atom_rows(group, atoms, out_degree), ints, 0)
-    assert int_out == apply_rows(stored, ints, 0)
-    scalar_out = apply_rows(atom_rows(group, atoms, out_degree), scalars, Scalar.zero())
-    assert scalar_out == apply_rows(stored, scalars, Scalar.zero())
+    int_out = apply_rows(stored, ints, 0)
+    assert int_out == dims_reference.apply_rows(atom_rows(group, atoms, out_degree), ints, 0)
+    scalar_out = apply_rows(stored, scalars, Scalar.zero())
+    assert scalar_out == dims_reference.apply_rows(
+        atom_rows(group, atoms, out_degree), scalars, Scalar.zero())
     assert all(isinstance(v, Scalar) for v in scalar_out)
     assert len(int_out) == len(scalar_out) == space_dim(group, out_degree)
     for a, b in zip(int_out, scalar_out):

@@ -25,7 +25,6 @@ from quasicyc import cyclic
 from quasicyc.cochains import Cochain2
 from quasicyc.cyclic import (
     CyclicCochain,
-    apply_rows,
     cohomology_dims,
     cyclic_cocycle_basis,
     identity_suite,
@@ -103,7 +102,7 @@ def test_twisted_apply_matches_conjugated_atoms(orders, chi):
                 Scalar.rational(rng.randint(-3, 3)) for _ in range(cyclic.space_dim(grp, k))
             ])
             for apply, op in ((apply_b_twisted, "b"), (apply_lambda_twisted, "lambda")):
-                want = apply_rows(
+                want = dims_reference.apply_rows(
                     dims_reference.conjugated_rows(grp, chi, F, op, k), phi.vec, Scalar.zero())
                 assert apply(phi, F).vec == want, (op, k)
 
