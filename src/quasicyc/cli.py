@@ -63,7 +63,7 @@ from .twist import (
 
 # periodicity needs an exact kernel basis of C^k and applies S, lambda and b
 # to it on C^(k+2) -> C^(k+3), so its cost grows with |G|^(k+3).  On the
-# octonions degree 2 takes 0.6-0.9 s and degree 3 24-30 s in-process
+# octonions degree 2 takes 0.6-0.9 s and degree 3 19-23 s in-process
 # on a 2-vCPU host; capped so the suite stays at desk scale
 PERIODICITY_DEGREE_CAP = 2
 
@@ -214,6 +214,9 @@ def _signed_label(grp, a: GradedElement) -> str:
 
 
 def _cmd_verify(pre: Preset, args) -> int:
+    if pre.group.free_rank and not args.window:
+        # window(0) holds only the identity, so every row would pass vacuously
+        raise ValueError("--window must be >= 1 on a group with a free part")
     suites = _SUITES[:-1] if args.suite == "all" else (args.suite,)
     rows = []
     for s in suites:

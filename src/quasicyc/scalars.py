@@ -35,6 +35,10 @@ their products and inverses are additions of exponents.  Its form is
 canonical: for even n the sign is folded in (zeta_n^(n/2) = -1), so
 a < n/2; a = 0 means n = 1, the rational tag of a Scalar; a != 0 together
 with b != 0 raises RingMismatch, as a Scalar product of the two rings does.
+The unit one is one shared object, `Unit.one()`, by whatever path it forms
+(a constructor, product, inverse, negation or unpickling).  Most products the
+laws form have a factor one, so a product with it or with the int 1 returns
+the other factor, and `==` answers an identical operand before any field.
 A Unit equals, hashes and prints like the equal Scalar.  Scalars form only
 where a sum does: + and - convert a Unit through `scalar()`, and
 `Unit.times(x)` scales a Scalar x by a rational factor, a Laurent shift or a
@@ -493,8 +497,11 @@ class Unit:
         return _make(RATIONAL, 0, self.c)
 
     def times(self, x: Scalar) -> Scalar:
-        """x * self for a Scalar x: a rational scaling, a Laurent exponent
-        shift or a power-basis rotation, never the general product."""
+        """x * self for a Scalar x: x itself for the one, else a rational
+        scaling, a Laurent exponent shift or a power-basis rotation, never
+        the general product."""
+        if self is _UNIT_ONE:
+            return x
         c, n, a, b = self.c, self.n, self.a, self.b
         if x.tag == RATIONAL:
             return _unit(_coef(c * x.payload), n, a, b).scalar() if x.payload else x
@@ -506,6 +513,10 @@ class Unit:
 
     def __mul__(self, other):
         if other.__class__ is Unit:
+            if other is _UNIT_ONE:
+                return self
+            if self is _UNIT_ONE:
+                return other
             n = self.n if other.n == 1 else other.n
             if self.n not in (1, n):
                 raise RingMismatch(f"cannot combine Q(zeta_{self.n}) with Q(zeta_{n})")
@@ -514,6 +525,8 @@ class Unit:
         if other.__class__ is Scalar:
             return self.times(other)
         if isinstance(other, (int, Fraction)):
+            if other == 1:
+                return self
             return _unit(_coef(self.c * other), self.n, self.a, self.b) if other else _ZERO
         return NotImplemented
 
@@ -544,6 +557,8 @@ class Unit:
         return self.n == 1 and not self.b
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is Unit:
             return (self.c, self.n, self.a, self.b) == (other.c, other.n, other.a, other.b)
         if isinstance(other, (int, Fraction)):
@@ -570,11 +585,14 @@ _set_c, _set_un, _set_a, _set_b = (Unit.c.__set__, Unit.n.__set__, Unit.a.__set_
 
 def _unit(c, n: int, a: int, b: int) -> Unit:
     """The Unit c * zeta_n^a * q^b from a canonical c != 0 and 0 <= a < n,
-    in canonical form: the even-n sign folded, n = 1 when a = 0."""
+    in canonical form: the even-n sign folded, n = 1 when a = 0, and the
+    shared Unit.one() when that form is 1."""
     if a and not n & 1 and 2 * a >= n:
         a -= n >> 1
         c = -c
     if not a:
+        if c == 1 and not b:
+            return _UNIT_ONE
         n = 1
     elif b:
         raise RingMismatch(f"cannot combine Q(zeta_{n}) with Q[q,q^-1]")
@@ -586,9 +604,9 @@ def _unit(c, n: int, a: int, b: int) -> Unit:
     return u
 
 
-_UNIT_ONE = _unit(1, 1, 0, 0)
-# zeta_N^0 is the shared one, so identity tests against Unit.one() see it
-_root_unit = lru_cache(maxsize=4096)(lambda N, k: _unit(1, N, k, 0) if k else _UNIT_ONE)
+_UNIT_ONE = _new(Unit)
+_set_c(_UNIT_ONE, 1), _set_un(_UNIT_ONE, 1), _set_a(_UNIT_ONE, 0), _set_b(_UNIT_ONE, 0)
+_root_unit = lru_cache(maxsize=4096)(lambda N, k: _unit(1, N, k, 0))
 
 
 @lru_cache(maxsize=4096)

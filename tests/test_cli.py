@@ -212,6 +212,28 @@ def test_negative_bounds_exit_2(capsys, argv):
     assert "must be >= 0, got -1" in err
 
 
+@pytest.mark.parametrize("suite", ["all", "cochain", "cyclic"])
+def test_window_zero_on_a_free_group_exits_2(capsys, suite):
+    # window(0) holds only the identity: every row would pass over it alone
+    rc, out, err = run(
+        capsys, "verify", "--preset", "torus", "--suite", suite,
+        "--window", "0", "--degree-max", "1",
+    )
+    assert rc == 2
+    assert out == ""
+    assert "--window" in err
+
+
+def test_window_zero_on_a_finite_group_is_ignored(capsys):
+    args = ("verify", "--preset", "octonion", "--suite", "algebra")
+    rc, out, _ = run(capsys, *args, "--window", "0")
+    assert rc == 0
+    rows = json.loads(out)["identities"]
+    assert rows and all(r["status"] == "pass" and r["domain"] == "exhaustive" for r in rows)
+    _, default, _ = run(capsys, *args)
+    assert json.loads(default)["identities"] == rows
+
+
 def test_root_of_unity_order_zero_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({

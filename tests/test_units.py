@@ -229,3 +229,54 @@ def test_a_unit_times_a_cyclic_cochain_equals_the_scalar_product():
     for bad in (object(), 0.5, "2"):
         with pytest.raises(TypeError):
             bad * phi
+
+
+def test_every_path_to_one_returns_the_shared_one():
+    one = Unit.one()
+    made = [
+        Unit(1), Unit(1, 4, 0), Unit(1, 6, 6), Unit(-1, 4, 2), Unit(Fraction(2, 2)), Unit(True),
+        Unit.q_power(0), Unit.of(Scalar.one()), Unit.of(Scalar.laurent({0: 1})),
+        Unit.root_of_unity(1, 0), Unit(-1) * Unit(-1), Unit(2).inverse() * 2, -Unit(-1),
+        -(-one), one.inverse(), pickle.loads(pickle.dumps(one)),
+        Unit.q_power(2) * Unit.q_power(-2), Unit(Fraction(1, 3)) * 3,
+    ]
+    made += [Unit.root_of_unity(n, 0) for n in ORDERS]
+    made += [Unit.root_of_unity(n, n) for n in ORDERS]
+    made += [u * u.inverse() for u in UNITS] + [u.inverse() * u for u in UNITS]
+    made += [Unit.root_of_unity(n, 1) * Unit.root_of_unity(n, n - 1) for n in ORDERS]
+    assert [i for i, u in enumerate(made) if u is not one] == []
+    # a Unit that only looks like one in part is not it
+    assert all(u is not one for u in (Unit(-1), Unit(1, 4, 1), Unit.q_power(1), Unit(2)))
+
+
+def test_a_product_with_one_returns_the_other_factor(monkeypatch):
+    from quasicyc import scalars
+
+    one, made = Unit.one(), []
+    unit = scalars._unit
+
+    def counted(*args):
+        made.append(args)
+        return unit(*args)
+
+    monkeypatch.setattr(scalars, "_unit", counted)
+    xs = random_scalars(random.Random(12), 30)
+    for u in UNITS:
+        assert u * one is u and one * u is u
+        assert u * 1 is u and 1 * u is u
+        assert u == u and one == one
+    for x in xs:
+        assert one.times(x) is x and x * one is x
+    assert made == []
+
+
+def test_products_with_one_equal_the_scalar_products():
+    one, ones = Unit.one(), Scalar.one()
+    for u in UNITS:
+        us = u.scalar()
+        for got in (u * one, one * u, u * 1, 1 * u):
+            assert type(got) is Unit and got.scalar() == us * ones
+    for x in random_scalars(random.Random(13), 30):
+        ref = x * ones
+        for got in (one.times(x), x * one):
+            assert (got.tag, got.n, got.payload) == (ref.tag, ref.n, ref.payload)
