@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import replace
 from functools import lru_cache
@@ -245,7 +246,8 @@ def _cmd_verify(pre: Preset, args) -> int:
 def _cmd_character(pre: Preset, args) -> int:
     spec = pre.calculus()
     grp = pre.group
-    gs = [grp.parse_element(t) for t in args.args.split(",")]
+    # split at the commas outside parentheses: "(1,0,1)" is one element
+    gs = [grp.parse_element(t) for t in re.split(r",(?![^()]*\))", args.args)]
     F = pre.cochain()
     if not args.closed_form:
         val = character_direct(spec, gs, F=F if args.twisted else None)
@@ -329,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("character", help="volume character at a comma-separated tuple")
     common(p)
-    p.add_argument("--args", required=True, help='e.g. "uvw,u,v,w"')
+    p.add_argument("--args", required=True, help='e.g. "uvw,u,v,w" or "(1,1,1),u,v,w"')
     p.add_argument("--closed-form", action="store_true", dest="closed_form")
     p.add_argument("--twisted", action="store_true")
     p.set_defaults(fn=_cmd_character)

@@ -17,12 +17,14 @@ whichever they get, so on Units they are additions of exponents.
 
 Construction decides unitality exactly on all of G.  from_table checks
 its finite group exhaustively.  from_expr's F is base^e, e an integer
-polynomial, unital iff e(e_G, h) = e(h, e_G) = 0 for every h (mod N for
-zeta_N).  Torsion coordinates of h run over their residues, and each free
-coordinate x_c over {0..d_c}, d_c the number of variable leaves naming it,
-which bounds the degree in x_c.  The coefficients of e in the binomial
-basis prod_c C(x_c, a_c) are integer combinations of its values on that
-grid, so vanishing there, mod N too, is vanishing on all of Z^s.
+polynomial that exprdsl parses once into the sum of products each value
+evaluates; F is unital iff e(e_G, h) = e(h, e_G) = 0 for every h (mod N
+for zeta_N).  Torsion coordinates of h run over their residues, and each
+free coordinate x_c over {0..d_c}, d_c the number of variables in the text
+naming it (exprdsl.leaf_counts), which bounds the degree in x_c.  The
+coefficients of e in the binomial basis prod_c C(x_c, a_c) are integer
+combinations of its values on that grid, so vanishing there, mod N too, is
+vanishing on all of Z^s.
 
 Law checks (unitality, 2-cocycle, 3-cocycle, bicharacter) run over an
 exhaustive domain for finite groups or a centered coordinate window for
@@ -72,20 +74,20 @@ class Cochain2:
     @classmethod
     def from_expr(cls, group: GroupSpec, base, expr_src: str) -> "Cochain2":
         """base: ("root_of_unity", N) or ("laurent",); values base^expr."""
-        ast = parse_expr(expr_src, 2, group.rank)
+        expr = parse_expr(expr_src, 2, group.rank)
         if base[0] == "root_of_unity":
             N = base[1]
             if N < 1:
                 raise ValueError("N must be >= 1")
-            fn = lambda g, h: Unit.root_of_unity(N, eval_expr(ast, (g, h)))
+            fn = lambda g, h: Unit.root_of_unity(N, eval_expr(expr, (g, h)))
             desc = f"zeta_{N}^({expr_src})"
         elif base[0] == "laurent":
             N = 0
-            fn = lambda g, h: Unit.q_power(eval_expr(ast, (g, h)))
+            fn = lambda g, h: Unit.q_power(eval_expr(expr, (g, h)))
             desc = f"q^({expr_src})"
         else:
             raise ValueError(f"unknown value base {base!r}")
-        bad = _exponent_unit_failure(group, ast, N)
+        bad = _exponent_unit_failure(group, expr, N)
         if bad is not None:
             raise ValueError(f"cochain is not unital on all of G: F{bad} != 1")
         return cls(group, fn, desc)
@@ -181,11 +183,11 @@ def braiding_R(F: Cochain2) -> Cochain2:
     return Cochain2(F.group, fn, f"braiding of {F.description}")
 
 
-def _exponent_unit_failure(group: GroupSpec, ast, N: int):
+def _exponent_unit_failure(group: GroupSpec, expr, N: int):
     """First (e, h) or (h, e) where the exponent polynomial is nonzero (mod N
     when N, exactly when N == 0) on the grid of the module docstring, or
     None: then F(e, h) = F(h, e) = 1 for every h in G."""
-    counts = leaf_counts(ast)
+    counts = leaf_counts(expr)
     e = group.identity()
     for free in (1, 0):
         ranges = [range(m) for m in group.cyclic_orders] + [
@@ -194,7 +196,7 @@ def _exponent_unit_failure(group: GroupSpec, ast, N: int):
         ]
         for h in itertools.product(*ranges):
             args = (e, h) if free else (h, e)
-            v = eval_expr(ast, args)
+            v = eval_expr(expr, args)
             if v % N if N else v:
                 return args
     return None

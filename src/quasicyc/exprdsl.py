@@ -7,26 +7,31 @@ Grammar (whitespace insignificant, single-token lookahead):
     factor := integer | var | '-' factor | '(' expr ')'
     var    := ('i' | 'j' | 'k') digits
 
-'i'/'j'/'k' name the first/second/third group argument; the digits are a
-1-based coordinate index.  Evaluation substitutes torsion coordinates as
-canonical residues and free coordinates as integers, and returns a raw
-integer; any modular reduction of the result belongs to the caller.
+Digits are the ASCII digits 0-9 only.  'i'/'j'/'k' name the first/second/
+third group argument; the digits are a 1-based coordinate index.
+Evaluation substitutes torsion coordinates as canonical residues and free
+coordinates as integers, and returns a raw integer; any modular reduction
+of the result belongs to the caller.
 
-On its first evaluation an AST is flattened once into a signed sum of
-products, kept on the root node: each product is an integer coefficient
-(literals folded in), a tuple of (argument, coordinate) factors and a
-tuple of nested sums.  A product is never distributed over a sum: a
-parenthesized sum inside a product stays one nested factor.  So the flat
-form has at most one product (nested ones included) per AST node and at
-most one factor per variable leaf, where full expansion of k factors of
-s-term sums would need up to s^k products.  Evaluation is one loop over
-the products.
+The parser builds the evaluation form directly: a signed sum of products,
+each an integer coefficient (literals folded in), a tuple of (argument,
+0-based coordinate) factors and a tuple of nested sums.  A term multiplies
+its factors into one product.  A factor that is a sum of several products
+stays one nested sum and is never distributed over, so the form has at
+most one product per term of the text and one factor per variable leaf,
+where full expansion of k factors of s-term sums would need up to s^k
+products.  Sums, products and signs are built by loops, so only
+parentheses nest.  Evaluation is one loop over the products.
+
+The argument count an expression needs, the arity and coordinate checks
+and leaf_counts are read from the variable tokens, so a variable in a
+product that vanishes (0*k1, k1 - k1) still counts.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ExprSyntaxError(ValueError):
@@ -48,54 +53,27 @@ class CoordOutOfRange(ValueError):
 
 
 class ExprTooDeep(ValueError):
-    """Expression nests deeper than the parser and flattener can recurse."""
+    """Parentheses nest deeper than the parser can recurse."""
 
 
 _ARG_NAMES = ("i", "j", "k")
 
 
-# -- AST ---------------------------------------------------------------------
+class Expr(NamedTuple):
+    """A parsed expression: the number of arguments it needs, its sum of
+    products, and its variable leaves as (0-based argument, 1-based
+    coordinate) pairs, left to right."""
 
-@dataclass(frozen=True)
-class Lit:
-    value: int
-
-
-@dataclass(frozen=True)
-class Var:
-    arg: int    # 0-based argument index
-    coord: int  # 1-based coordinate index
-
-
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: object
-
-
-@dataclass(frozen=True)
-class Paren:
-    inner: object
+    need: int
+    terms: tuple
+    leaves: tuple
 
 
 # -- parser -------------------------------------------------------------------
+
+def _is_digit(ch: str) -> bool:
+    return "0" <= ch <= "9"
+
 
 class _Tokens:
     def __init__(self, src: str):
@@ -105,30 +83,27 @@ class _Tokens:
             ch = src[pos]
             if ch.isspace():
                 pos += 1
-                continue
-            if ch in "+-*()":
+            elif ch in "+-*()":
                 self.toks.append((ch, ch, pos))
                 pos += 1
-                continue
-            if ch.isdigit():
+            elif _is_digit(ch):
                 start = pos
-                while pos < len(src) and src[pos].isdigit():
+                while pos < len(src) and _is_digit(src[pos]):
                     pos += 1
                 self.toks.append(("int", int(src[start:pos]), start))
-                continue
-            if ch in _ARG_NAMES:
+            elif ch in _ARG_NAMES:
                 start = pos
                 pos += 1
                 dstart = pos
-                while pos < len(src) and src[pos].isdigit():
+                while pos < len(src) and _is_digit(src[pos]):
                     pos += 1
                 if pos == dstart:
                     raise ExprSyntaxError(dstart, {"digit"}, _describe(src, dstart))
                 self.toks.append(
                     ("var", (_ARG_NAMES.index(ch), int(src[dstart:pos])), start)
                 )
-                continue
-            raise ExprSyntaxError(pos, {"integer", "variable", "(", "-"}, repr(ch))
+            else:
+                raise ExprSyntaxError(pos, {"integer", "variable", "(", "-"}, repr(ch))
         self.toks.append(("end", None, len(src)))
         self.idx = 0
 
@@ -145,108 +120,97 @@ def _describe(src: str, pos: int) -> str:
     return repr(src[pos]) if pos < len(src) else "end of input"
 
 
-def parse_expr(src: str, arity: int, coords: int):
-    """Parse src; validate variables against arity and coordinate count.
-
-    The AST is flattened here too, so input nested deeper than the
-    interpreter can recurse (deep parentheses, or thousands of summands,
-    whose tree is as deep as the sum is long) raises ExprTooDeep."""
+def parse_expr(src: str, arity: int, coords: int) -> Expr:
+    """Parse src to its evaluation form; validate variables against arity
+    and coordinate count.  Parentheses nested deeper than the interpreter
+    can recurse raise ExprTooDeep."""
     if arity not in (2, 3):
         raise ArityError(f"arity must be 2 or 3, got {arity}")
     toks = _Tokens(src)
     try:
-        ast = _parse_expr(toks)
-        _compile(ast)
+        terms = _parse_sum(toks)
     except RecursionError:
         raise ExprTooDeep("expression nests too deeply to parse") from None
     kind, _, pos = toks.peek()
     if kind != "end":
         raise ExprSyntaxError(pos, {"+", "-", "*", "end of input"}, kind)
-    _validate(ast, arity, coords)
-    return ast
+    leaves = tuple(value for kind, value, _ in toks.toks if kind == "var")
+    for arg, coord in leaves:
+        if arg >= arity:
+            raise ArityError(f"variable {_ARG_NAMES[arg]}{coord} needs arity {arg + 1}")
+        if not 1 <= coord <= coords:
+            raise CoordOutOfRange(f"coordinate {coord} out of range 1..{coords}")
+    return Expr(max((arg + 1 for arg, _ in leaves), default=0), terms, leaves)
 
 
-def _parse_expr(toks):
-    node = _parse_term(toks)
+def _parse_sum(toks) -> tuple:
+    terms = list(_parse_term(toks))
     while toks.peek()[0] in ("+", "-"):
-        op, _, _ = toks.next()
-        rhs = _parse_term(toks)
-        node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-    return node
+        op = toks.next()[0]
+        right = _parse_term(toks)
+        terms += right if op == "+" else _negated(right)
+    return tuple(terms)
 
 
-def _parse_term(toks):
-    node = _parse_factor(toks)
+def _parse_term(toks) -> tuple:
+    """A lone factor's products, or the one product of several factors
+    (none if a factor is zero)."""
+    parts = [_parse_factor(toks)]
     while toks.peek()[0] == "*":
         toks.next()
-        node = Mul(node, _parse_factor(toks))
-    return node
+        parts.append(_parse_factor(toks))
+    if len(parts) == 1:
+        return parts[0]
+    if not all(parts):
+        return ()
+    c, factors, sums = 1, [], []
+    for part in parts:
+        if len(part) == 1:
+            pc, pf, ps = part[0]
+            c *= pc
+            factors += pf
+            sums += ps
+        else:
+            sums.append(part)
+    return ((c, tuple(factors), tuple(sums)),)
 
 
-def _parse_factor(toks):
-    kind, value, pos = toks.peek()
+def _parse_factor(toks) -> tuple:
+    negate = False
+    while toks.peek()[0] == "-":
+        toks.next()
+        negate = not negate
+    kind, value, pos = toks.next()
     if kind == "int":
-        toks.next()
-        return Lit(value)
-    if kind == "var":
-        toks.next()
-        return Var(*value)
-    if kind == "-":
-        toks.next()
-        return Neg(_parse_factor(toks))
-    if kind == "(":
-        toks.next()
-        inner = _parse_expr(toks)
-        k2, _, p2 = toks.peek()
-        if k2 != ")":
-            raise ExprSyntaxError(p2, {")"}, k2)
-        toks.next()
-        return Paren(inner)
-    raise ExprSyntaxError(pos, {"integer", "variable", "(", "-"}, kind)
+        terms = ((value, (), ()),) if value else ()
+    elif kind == "var":
+        arg, coord = value
+        terms = ((1, ((arg, coord - 1),), ()),)
+    elif kind == "(":
+        terms = _parse_sum(toks)
+        kind, _, pos = toks.next()
+        if kind != ")":
+            raise ExprSyntaxError(pos, {")"}, kind)
+    else:
+        raise ExprSyntaxError(pos, {"integer", "variable", "(", "-"}, kind)
+    return _negated(terms) if negate else terms
 
 
-def _validate(ast, arity: int, coords: int):
-    for node in _vars(ast):
-        if node.arg >= arity:
-            raise ArityError(
-                f"variable {_ARG_NAMES[node.arg]}{node.coord} needs arity {node.arg + 1}"
-            )
-        if not 1 <= node.coord <= coords:
-            raise CoordOutOfRange(
-                f"coordinate {node.coord} out of range 1..{coords}"
-            )
+def _negated(terms) -> tuple:
+    return tuple((-c, f, s) for c, f, s in terms)
 
 
-def _vars(ast):
-    """The variable leaves of an AST, left to right; no recursion, so
-    leaf_counts works on any tree parse_expr accepted."""
-    stack = [ast]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            yield node
-        elif isinstance(node, (Add, Sub, Mul)):
-            stack += (node.right, node.left)
-        elif isinstance(node, Neg):
-            stack.append(node.operand)
-        elif isinstance(node, Paren):
-            stack.append(node.inner)
-
-
-def leaf_counts(ast) -> Counter:
+def leaf_counts(expr: Expr) -> Counter:
     """Variable leaves per (0-based argument, 1-based coordinate): a bound
     on the degree of the expression in that variable."""
-    return Counter((v.arg, v.coord) for v in _vars(ast))
+    return Counter(expr.leaves)
 
 
 # -- evaluation -----------------------------------------------------------------
 
-def eval_expr(ast, args) -> int:
+def eval_expr(expr: Expr, args) -> int:
     """Evaluate at a tuple of group-element coordinate tuples."""
-    try:
-        need, terms = ast._flat
-    except AttributeError:
-        need, terms = _compile(ast)
+    need, terms, _ = expr
     if need > len(args):
         raise ArityError(f"expression needs {need} arguments, got {len(args)}")
     return _eval_sum(terms, args)
@@ -261,68 +225,3 @@ def _eval_sum(terms, args) -> int:
             c *= _eval_sum(s, args)
         total += c
     return total
-
-
-def _compile(ast):
-    """(arguments needed, flat sum) of an AST; kept on the root node."""
-    terms, need = _flatten(ast)
-    out = (need, tuple(terms))
-    object.__setattr__(ast, "_flat", out)
-    return out
-
-
-# A sum under construction is a list of products (coefficient, factors,
-# nested sums), each factor an (argument, 0-based coordinate) pair.
-
-def _flatten(node):
-    """(products, arguments needed) of a subtree."""
-    if isinstance(node, Var):
-        return [(1, ((node.arg, node.coord - 1),), ())], node.arg + 1
-    if isinstance(node, Lit):
-        return ([(node.value, (), ())] if node.value else []), 0
-    if isinstance(node, Neg):
-        terms, need = _flatten(node.operand)
-        return [(-c, f, s) for c, f, s in terms], need
-    if isinstance(node, Paren):
-        return _flatten(node.inner)
-    if not isinstance(node, (Add, Sub, Mul)):
-        raise TypeError(f"not an AST node: {node!r}")
-    left, need = _flatten(node.left)
-    right, need_right = _flatten(node.right)
-    need = max(need, need_right)
-    if isinstance(node, Add):
-        left += right
-        return left, need
-    if isinstance(node, Sub):
-        left += [(-c, f, s) for c, f, s in right]
-        return left, need
-    if not left or not right:
-        return [], need
-    cl, fl, sl = _as_product(left)
-    cr, fr, sr = _as_product(right)
-    return [(cl * cr, fl + fr, sl + sr)], need
-
-
-def _as_product(terms):
-    """The one product of a one-product sum, else the sum as a nested factor."""
-    return terms[0] if len(terms) == 1 else (1, (), (tuple(terms),))
-
-
-# -- rendering --------------------------------------------------------------------
-
-def render_expr(ast) -> str:
-    if isinstance(ast, Lit):
-        return str(ast.value)
-    if isinstance(ast, Var):
-        return f"{_ARG_NAMES[ast.arg]}{ast.coord}"
-    if isinstance(ast, Add):
-        return f"{render_expr(ast.left)} + {render_expr(ast.right)}"
-    if isinstance(ast, Sub):
-        return f"{render_expr(ast.left)} - {render_expr(ast.right)}"
-    if isinstance(ast, Mul):
-        return f"{render_expr(ast.left)}*{render_expr(ast.right)}"
-    if isinstance(ast, Neg):
-        return f"-{render_expr(ast.operand)}"
-    if isinstance(ast, Paren):
-        return f"({render_expr(ast.inner)})"
-    raise TypeError(f"not an AST node: {ast!r}")

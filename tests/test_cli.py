@@ -47,6 +47,31 @@ def test_character_torus_twisted(capsys):
     assert out == "q^-1\n"
 
 
+@pytest.mark.parametrize("coords, names", [
+    ("(1,1,0),(1,0,0),(0,1,0),(0,0,1)", "uv,u,v,w"),
+    ("(1,1,1),(1,0,0),(0,1,0),(0,0,1)", "uvw,u,v,w"),
+    ("uvw, (1,0,0) ,v,(0,0,1)", "uvw,u,v,w"),
+])
+def test_character_args_in_coordinate_form(capsys, coords, names):
+    for extra in ([], ["--twisted"], ["--closed-form"]):
+        by_coords = run(capsys, "character", "--preset", "octonion", "--args", coords, *extra)
+        by_names = run(capsys, "character", "--preset", "octonion", "--args", names, *extra)
+        assert by_coords == by_names and by_coords[0] == 0
+
+
+def test_character_args_on_a_rank_4_group(tmp_path, capsys):
+    # past rank 3 the generators have no names: the coordinate form is the only one
+    path = write_preset(tmp_path, {
+        "name": "z2_4", "group": {"cyclic_orders": [2, 2, 2, 2]}, "scalars": "cyclotomic",
+        "cochain_F": {"expr": "i1*j2 + i3*j4", "base": "root_of_unity", "order": 2},
+        "calculus": {"kind": "characters",
+                     "weights": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+    })
+    args = "(1,1,1,1),(1,0,0,0),(0,1,0,0),(0,0,1,0),(0,0,0,1)"
+    for extra in ([], ["--twisted"], ["--closed-form"]):
+        assert run(capsys, "character", "--preset", path, "--args", args, *extra) == (0, "16\n", "")
+
+
 def test_character_off_support_is_zero(capsys):
     rc, out, _ = run(capsys, "character", "--preset", "octonion", "--args", "u,u,v,w")
     assert rc == 0
@@ -193,6 +218,10 @@ def test_twist_subcommand_round_trip(tmp_path, capsys):
 
 
 def test_usage_errors_exit_2(capsys):
+    # --args splits only at commas outside parentheses, and an open one stays an error
+    assert run(capsys, "character", "--preset", "octonion", "--args", "(1,0") == (
+        2, "", "error: unbalanced coordinate form: '(1'\n"
+    )
     assert cli.main(["character", "--preset", "no_such", "--args", "e"]) == 2
     assert cli.main(["character", "--preset", "octonion", "--args", "z9,u"]) == 2
     assert cli.main(["verify", "--preset", "octonion"]) == 2
@@ -270,16 +299,30 @@ def write_preset(tmp_path, data):
     return str(path)
 
 
-@pytest.mark.parametrize("expr", [
-    "+".join(["i1*j1"] * 2000),
-    "(" * 1000 + "i1*j1" + ")" * 1000,
+@pytest.mark.parametrize("expr, rc", [
+    ("+".join(["i1*j1"] * 2000), 0),
+    ("(" * 1000 + "i1*j1" + ")" * 1000, 2),
 ], ids=["2000_summands", "1000_parentheses"])
-def test_deep_expression_exits_2(tmp_path, capsys, expr):
+def test_deep_expression_exits_2(tmp_path, capsys, expr, rc):
+    # only parentheses nest: a long sum is read by a loop, and F = (-1)^(2000 i1 j1) = 1
+    path = write_preset(tmp_path, {**Z2_PRESET, "cochain_F": {**Z2_PRESET["cochain_F"], "expr": expr}})
+    got, out, err = run(capsys, "verify", "--preset", path, "--suite", "cochain")
+    assert got == rc
+    if rc:
+        assert out == ""
+        assert "nests too deeply" in err
+    else:
+        assert err == ""
+        rows = json.loads(out)["identities"]
+        assert rows and all(r["status"] in ("pass", "holds") for r in rows)
+
+
+@pytest.mark.parametrize("expr", ["i1*j\u00b2", "i1*j\u0661"], ids=["superscript_two", "arabic_indic_one"])
+def test_non_ascii_digit_in_expression_exits_2(tmp_path, capsys, expr):
     path = write_preset(tmp_path, {**Z2_PRESET, "cochain_F": {**Z2_PRESET["cochain_F"], "expr": expr}})
     rc, out, err = run(capsys, "verify", "--preset", path, "--suite", "cochain")
-    assert rc == 2
-    assert out == ""
-    assert "nests too deeply" in err
+    assert (rc, out) == (2, "")
+    assert err == f"error: at offset 4: expected digit, found {expr[4]!r}\n"
 
 
 def _without(d, key):

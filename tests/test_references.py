@@ -24,7 +24,6 @@ GETATTR_FILES = ("perfbench/tracing.py",)
 # the paper's definitions
 PAPER_ORACLES = {
     "top_projection": "top-degree part of a form, the integral's definition",
-    "render_expr": "DSL text of an AST, the parser's round-trip oracle",
     "associator_defect": "phi(g,h,k) read as g.(h.k) = phi (g.h).k, checked on products",
     "norm_square": "octonion norm form, multiplicative on the doubling oracle",
     "cayley_dickson_oracle": "octonions by doubling, compared with the twisted product",
