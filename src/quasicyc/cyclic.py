@@ -31,13 +31,14 @@ of (col, coeff) pairs, built by atom_rows from the atoms' tables and
 applied by the one applier apply_rows (linalg's): it sums on integer
 power-basis vectors in Z[zeta_N] with the entry reader and products that
 linalg.rank uses, and forms one Scalar per nonzero output entry; an int
-vector stays ints under +-1 rows.  compose_rows multiplies two row
-sets into the rows of the composite, in the same shape, so an operator
-identity on a finite group is decided exactly, for every cochain, by
-comparing composites:
-mixed_complex_report decides the mixed-complex laws that way, and
-twist.verify_transport the intertwining b^F T = T b on the twisted b rows
-that cohomology_dims reads.  lambda^{k+1} = id is decided by identity_suite.
+vector stays ints under +-1 rows.  An operator identity on a finite group
+is decided exactly, for every cochain, as a signed sum of composites of
+stored rows by linalg.composite_witness, which sums their coefficients as
+integer root-of-unity counts; operator_counterexample names the support
+tuples of the first that does not cancel.  mixed_complex_report decides
+the mixed-complex laws that way, and twist.verify_transport the
+intertwining b^F T = T b on the twisted b rows that cohomology_dims
+reads.  lambda^{k+1} = id is decided by identity_suite.
 
 Stored rows live in one store per (group, chi, twist), an OperatorCache
 from operators(), one lru_cache of plain and twisted stores bounded at
@@ -75,7 +76,7 @@ from functools import lru_cache
 
 from .cochains import LawReport
 from .groups import GroupSpec, InfiniteGroup, SpecMismatch
-from .linalg import apply_rows, rank, rank_kernel
+from .linalg import apply_rows, composite_witness, rank, rank_kernel
 from .scalars import Scalar, Unit
 
 
@@ -529,46 +530,19 @@ def atom_rows(group, atoms, out_degree, memo=None):
     return [list(row) for row in zip(*columns)]
 
 
-def _row_sum(pairs) -> list:
-    """The (col, coeff) pairs with like columns added and zeros dropped,
-    columns in order of first appearance."""
-    acc = {}
-    for col, c in pairs:
-        prev = acc.get(col)
-        acc[col] = c if prev is None else prev + c
-    return [(col, c) for col, c in acc.items() if c]
-
-
-def compose_rows(outer, inner) -> list[list]:
-    """Rows of the composite "outer after inner", (col, coeff) pairs as
-    atom_rows builds them: outer's columns index inner's rows.  Sums that
-    cancel are dropped, so a zero composite has only empty rows, and the
-    result goes to compose_rows, apply_rows or linalg.rank again."""
-    return [
-        _row_sum(
-            (col, d if c == 1 else -d if c == -1 else c * d)
-            for j, c in row
-            for col, d in inner[j]
-        )
-        for row in outer
-    ]
-
-
-def row_counterexample(group, in_degree, out_degree, rows, other=None):
-    """None when the operators C^in_degree -> C^out_degree with these rows
-    are equal (other=None: the zero operator), else "degree k output ...
-    input ..." naming the support tuples of the first coefficient of
-    rows - other that did not cancel."""
-    for i, row in enumerate(rows):
-        if other is not None:
-            row = list(row) + [(col, -c) for col, c in other[i]]
-        diff = _row_sum(row)
-        if diff:
-            return (
-                f"degree {in_degree} output {full_tuples(group, out_degree)[i]!r} "
-                f"input {full_tuples(group, in_degree)[min(col for col, _ in diff)]!r}"
-            )
-    return None
+def operator_counterexample(group, in_degree, out_degree, terms):
+    """None when the operator C^in_degree -> C^out_degree that terms
+    compose (linalg.composite_witness's (sign, outer, inner) triples) is
+    zero, else "degree k output ... input ..." naming the support tuples
+    of its first coefficient that did not cancel."""
+    bad = composite_witness(terms, space_dim(group, in_degree))
+    if bad is None:
+        return None
+    i, col = bad
+    return (
+        f"degree {in_degree} output {full_tuples(group, out_degree)[i]!r} "
+        f"input {full_tuples(group, in_degree)[col]!r}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -728,32 +702,32 @@ def mixed_complex_report(
     group: GroupSpec, chi, degree_max: int, count: int = 50, seed: int = 0
 ) -> list[LawReport]:
     """b^2 = 0, B^2 = 0, bB + Bb = 0 and N(lambda - id) = 0 on C^k for
-    k <= degree_max, decided exactly: each side is the composite of the
-    stored operator rows, so a pass holds for every cochain.  A failure
-    names the degree and the output and input support tuples of a
-    coefficient that did not cancel.  lambda^(k+1) = id is identity_suite's
-    lambda_order.  count and seed are not read; they remain so that
-    callers passing them still work.
+    k <= degree_max, decided exactly by operator_counterexample on signed
+    sums of composites of the stored rows, b^2 as [(1, b_{k+1}, b_k)] and
+    N(lambda - id) as [(1, N, lambda), (-1, N, None)], so a pass holds for
+    every cochain.  A failure names the degree and the output and input
+    support tuples of a coefficient that did not cancel.  lambda^(k+1) = id
+    is identity_suite's lambda_order.  count and seed are not read; they
+    remain so that callers passing them still work.
     """
     _check_degree_max(degree_max)
     rows = operators(group, chi).rows
     domain = f"exact: every cochain, degrees <= {degree_max}"
     fails = {}
 
-    def check(law, k, out_degree, lhs, rhs=None):
-        bad = row_counterexample(group, k, out_degree, lhs, rhs)
+    def check(law, k, out_degree, *terms):
+        bad = operator_counterexample(group, k, out_degree, terms)
         if bad is not None:
             fails.setdefault(law, bad)
 
     for k in range(degree_max + 1):
-        check("b_squared", k, k + 2, compose_rows(rows("b", k + 1), rows("b", k)))
-        check("N_lambda", k, k, compose_rows(rows("N", k), rows("lambda", k)), rows("N", k))
+        check("b_squared", k, k + 2, (1, rows("b", k + 1), rows("b", k)))
+        check("N_lambda", k, k, (1, rows("N", k), rows("lambda", k)), (-1, rows("N", k), None))
         if k >= 1:
-            bB = compose_rows(rows("b", k - 1), rows("B", k))
-            Bb = compose_rows(rows("B", k + 1), rows("b", k))
-            check("bB_plus_Bb", k, k, bB, [[(c, -v) for c, v in r] for r in Bb])
+            check("bB_plus_Bb", k, k, (1, rows("b", k - 1), rows("B", k)),
+                  (1, rows("B", k + 1), rows("b", k)))
         if k >= 2:
-            check("B_squared", k, k - 2, compose_rows(rows("B", k - 1), rows("B", k)))
+            check("B_squared", k, k - 2, (1, rows("B", k - 1), rows("B", k)))
 
     return [
         LawReport(law, domain, law not in fails, fails.get(law))

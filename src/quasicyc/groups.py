@@ -209,8 +209,11 @@ class GroupSpec:
         if s.startswith("("):
             if not s.endswith(")"):
                 raise SpecMismatch(f"unbalanced coordinate form: {text!r}")
-            coords = [int(p) for p in s[1:-1].split(",")] if s[1:-1].strip() else []
-            return self.reduce(coords)
+            parts = s[1:-1].split(",") if s[1:-1].strip() else []
+            coords = [_COORD_RE.fullmatch(p.strip()) for p in parts]
+            if not all(coords):
+                raise SpecMismatch(f"bad coordinate form: {text!r}")
+            return self.reduce([int(m[0]) for m in coords])
         if s == "e":
             return self.identity()
         coords = [0] * self.rank
@@ -225,7 +228,9 @@ class GroupSpec:
         return self.reduce(coords)
 
 
-_FACTOR_RE = re.compile(r"([a-z])(\^(-?\d+))?")
+# digits are ASCII 0-9 only: int() would also read other scripts' digits and "_"
+_FACTOR_RE = re.compile(r"([a-z])(\^(-?[0-9]+))?")
+_COORD_RE = re.compile(r"[-+]?[0-9]+")
 
 
 def _iter_generator_factors(s: str, original: str = ""):

@@ -1,21 +1,23 @@
 """Exact linear algebra over field scalars (rational or cyclotomic).
 
-rank, rank_kernel and apply_rows take a matrix as sparse rows, each a list
-of (col, value) pairs, the form in which `cyclic.OperatorCache` stores
-operator rows.  The values are ints, `scalars.Unit`s or Scalars of one field
-Q(zeta_N) (Q being N = 1); a column named twice in one row is summed, and
-zeros are dropped.  The rows are read, never mutated, so a stored row set
-can be eliminated or applied again, or stacked with others.
+rank, rank_kernel, apply_rows and composite_witness take a matrix as
+sparse rows, each a list of (col, value) pairs, the form in which
+`cyclic.OperatorCache` stores operator rows.  The values are ints,
+`scalars.Unit`s or Scalars of one field Q(zeta_N) (Q being N = 1); a
+column named twice in one row is summed, and zeros are dropped.  The rows
+are read, never mutated, so a stored row set can be eliminated or applied
+again, or stacked with others.
 
-All three work on integer coefficient vectors in Z[zeta_N], and N is read
-once per call by _field_order, which rejects Laurent entries and a second
-cyclotomic field.  One entry reader, _reader, turns a value into its
-power-basis tuple of phi(N) coordinates: the payload of a Scalar (a 1-tuple
-on Q), and c * zeta^a of an int or a Unit, +-zeta^a read from the ring's
-tables.  A row whose entries have Fraction coordinates is scaled by the lcm
-of their denominators.  Tuples are multiplied by scalars._cyc_mul, whose
-products are memoized per N as they are first asked for, in a bounded memo;
-a +-1 int entry needs no reader and no product.
+The first three work on integer coefficient vectors in Z[zeta_N].  All
+four read N once per call by _field_order, which rejects Laurent entries
+and a second cyclotomic field.  One entry reader, _reader, turns a value
+into its power-basis tuple of phi(N) coordinates: the payload of a Scalar
+(a 1-tuple on Q), and c * zeta^a of an int or a Unit, +-zeta^a read from
+the ring's tables.  A row whose entries have Fraction coordinates is
+scaled by the lcm of their denominators.  Tuples are multiplied by
+scalars._cyc_mul, whose products are memoized per N as they are first
+asked for, in a bounded memo; a +-1 int entry needs no reader and no
+product.
 
 apply_rows, the one applier of operator rows (cyclic re-exports it), reads
 the vector the same way, scaled by one lcm of its denominators, adds or
@@ -23,6 +25,11 @@ subtracts the vector's tuple at a +-1 entry and multiplies at every other,
 and divides each nonzero output sum back by both scales once, into a
 Scalar; ints stay ints under ints.  tests/dims_reference.py keeps a
 Scalar applier that its results are tested against.
+
+composite_witness decides cyclic's operator laws, signed sums of
+composites of row sets, on integer root-of-unity counts; no Scalar is
+summed.  tests/composite_reference.py keeps the Scalar composition it
+replaced.
 
 rank and rank_kernel run one forward elimination on the rows so read.
 A row's scaling leaves its span unchanged.  Columns are taken in order,
@@ -66,16 +73,17 @@ class LaurentScalars(TypeError):
     """Matrix entries must live in a field; Laurent scalars are not one."""
 
 
-def _field_order(rows, n: int) -> int:
-    """Validate every (col, value) pair before any elimination; return the
-    order N of the one cyclotomic field the entries share, 1 for Q.
+def _field_order(*blocks) -> int:
+    """Validate every (col, value) pair of the (rows, n) blocks, n bounding
+    the columns of rows, before any arithmetic; return the order N of the
+    one cyclotomic field the entries share, 1 for Q.
 
     Cyclotomic entries must share one order N: two different cyclotomic
     fields have no common ring here, whether or not their entries would
     ever meet during elimination."""
     orders = set()
-    for row in rows:
-        for j, x in row:
+    for rows, n in blocks:
+        for j, x in chain.from_iterable(rows):
             if not 0 <= j < n:
                 raise ValueError(f"column {j} outside 0..{n - 1}")
             cls = x.__class__
@@ -235,7 +243,7 @@ def apply_rows(rows, vec, zero):
     entry whose sum is zero is zero; otherwise the sum, divided by both
     scales, is a Scalar, or an int when the vector and every entry its row
     read are ints."""
-    N = _field_order(chain(rows, (enumerate(vec),)), len(vec))
+    N = _field_order((chain(rows, (enumerate(vec),)), len(vec)))
     read, mul = _reader(N), _multiplier(N)
     powers, negated = _ring(N)[:2]
     one, minus = powers[0], negated[0]
@@ -286,6 +294,99 @@ def apply_rows(rows, vec, zero):
                 acc = tuple([Fraction(y, den) if y % den else y // den for y in acc])
             out.append(_cyc_value(N, acc))
     return out
+
+
+def _monomials(rows, N: int) -> list[list]:
+    """Each row as (key, q) monomials q z^r at column col, key = col * N + r,
+    z = zeta_2N and 0 <= r < N: an entry c z^e, e its code in Z/2N, is 0
+    for an int c, 2a for a Unit c zeta_N^a (a = 0 in Q) and 2i for each
+    power-basis monomial c zeta_N^i of a Scalar; z^e = -z^(e-N) for e >= N."""
+    out = []
+    for row in rows:
+        mono = [(col * N, x) for col, x in row if x.__class__ is int]
+        if len(mono) < len(row):
+            for col, x in row:
+                cls = x.__class__
+                if cls is int:
+                    continue
+                if cls is Unit:
+                    codes = ((2 * x.a, x.c),)
+                elif x.tag == CYCLOTOMIC:
+                    codes = [(2 * i, c) for i, c in enumerate(x.payload) if c]
+                else:
+                    codes = ((0, x.payload),)
+                for e, c in codes:
+                    mono.append((col * N + e - N, -c) if e >= N else (col * N + e, c))
+        out.append(mono)
+    return out
+
+
+def composite_witness(terms, n: int):
+    """Decide whether sum_t sign_t (outer_t after inner_t) is the zero
+    operator on n input columns, exactly: None when it is, else (row, col),
+    the first output row and in it the smallest input column whose
+    coefficient did not cancel.
+
+    terms are (sign, outer, inner) triples, sign +-1, outer's columns
+    indexing inner's rows and inner None the identity.  N is read once by
+    _field_order and every entry once by _monomials, so a product of
+    monomials adds codes and multiplies counts, and a row's sum adds counts
+    (ints on +-1 and +-zeta^a entries) in one dict keyed as _monomials
+    keys.  Roots of unity cancel without equal codes (1 + zeta_3 + zeta_3^2
+    = 0), so a column whose counts are not all zero is reduced modulo
+    Phi_2N, and is zero only if nothing is left."""
+    blocks = []
+    for _, outer, inner in terms:
+        blocks.append((outer, n if inner is None else len(inner)))
+        if inner is not None:
+            blocks.append((inner, n))
+    N = _field_order(*blocks)
+    read, tables = {}, {}
+    for rows, _ in blocks:
+        if id(rows) not in read:
+            read[id(rows)] = _monomials(rows, N)
+    for _, _, inner in terms:
+        # inner's row j times z^r at index j * N + r, built when first asked for
+        if inner is not None and id(inner) not in tables:
+            table = tables[id(inner)] = [None] * (len(inner) * N)
+            table[::N] = read[id(inner)]
+    steps = [(sign, read[id(outer)], None if inner is None else tables[id(inner)])
+             for sign, outer, inner in terms]
+    for i in range(len(terms[0][1])):
+        acc = {}
+        get = acc.get
+        for sign, outer, table in steps:
+            for key, q in outer[i]:
+                if sign < 0:
+                    q = -q
+                if table is None:
+                    acc[key] = get(key, 0) + q
+                    continue
+                row = table[key]
+                if row is None:
+                    r = key % N
+                    row = table[key] = [
+                        (k + r, c) if k % N + r < N else (k + r - N, -c) for k, c in table[key - r]
+                    ]
+                if q == 1:
+                    for k, c in row:
+                        acc[k] = get(k, 0) + c
+                elif q == -1:
+                    for k, c in row:
+                        acc[k] = get(k, 0) - c
+                else:
+                    for k, c in row:
+                        acc[k] = get(k, 0) + q * c
+        if not any(acc.values()):
+            continue
+        cols = {}
+        for key, c in acc.items():
+            if c:
+                cols.setdefault(key // N, [0] * N)[key % N] = c
+        for col in sorted(cols):
+            if any(_cyc_reduce(2 * N, cols[col])):
+                return i, col
+    return None
 
 
 def _echelon(rows, N: int) -> dict:
@@ -342,7 +443,7 @@ def _echelon(rows, N: int) -> dict:
 def rank(rows, n: int) -> int:
     """Rank of the matrix with n columns given by sparse rows of (col,
     value) pairs; the rows are read, never mutated."""
-    N = _field_order(rows, n)
+    N = _field_order((rows, n))
     return len(_echelon(_int_rows(rows, N), N))
 
 
@@ -353,7 +454,7 @@ def rank_kernel(rows, n: int) -> tuple[int, list[list[Scalar]]]:
     Kernel vectors have a 1 in their free column, hold Scalars, and are
     returned in column order; rank + len(kernel) == n.
     """
-    N = _field_order(rows, n)
+    N = _field_order((rows, n))
     pivots = _echelon(_int_rows(rows, N), N)
     free = [f for f in range(n) if f not in pivots]
     if not free:

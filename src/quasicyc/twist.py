@@ -44,13 +44,12 @@ from .cyclic import (
     TransportPrefactor,
     _apply_stored,
     _check_same_group,
-    compose_rows,
     face_pull,
     full_tuples,
     identity_suite,
     lambda_pull,
+    operator_counterexample,
     operators,
-    row_counterexample,
     sample_tuples,
 )
 from .groups import GroupSpec, InfiniteGroup
@@ -159,9 +158,10 @@ def verify_transport(
     (b) transport intertwines the untwisted and conjugated coboundaries:
         b^F T = T b on C^k for every k <= degree_max, decided exactly on a
         finite group on the rows that cohomology_dims(twist=) eliminates,
-        the b rows of the twisted store (cyclic.operators(group, chi, F)),
-        composed with the diagonal rows of T, read from the store's
-        prefactor; skipped on infinite groups;
+        the b rows of the twisted store (cyclic.operators(group, chi, F)):
+        b^F T - T b, T the diagonal rows of the store's prefactor, goes to
+        cyclic.operator_counterexample as [(1, b^F_k, T_k), (-1, T_{k+1},
+        b_k)]; skipped on infinite groups;
     (c) the twisted-calculus character equals transport of the untwisted one,
     (d) direct group-like evaluators vs conjugated operators, informational.
     Finite groups run exhaustively; infinite ones need a window bound.
@@ -202,9 +202,9 @@ def verify_transport(
         bad = None
         T = [[[(i, p)] for i, p in enumerate(pref.values(k))] for k in range(degree_max + 2)]
         for k in range(degree_max + 1):
-            lhs = compose_rows(store.rows("b", k), T[k])
-            rhs = compose_rows(T[k + 1], plain("b", k))
-            bad = row_counterexample(group, k, k + 1, lhs, rhs)
+            bad = operator_counterexample(
+                group, k, k + 1, [(1, store.rows("b", k), T[k]), (-1, T[k + 1], plain("b", k))]
+            )
             if bad is not None:
                 break
         add("transport_intertwines_b", "pass" if bad is None else "fail", bad,

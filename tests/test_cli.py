@@ -325,6 +325,20 @@ def test_non_ascii_digit_in_expression_exits_2(tmp_path, capsys, expr):
     assert err == f"error: at offset 4: expected digit, found {expr[4]!r}\n"
 
 
+@pytest.mark.parametrize("text", ["(\u0661,0,0)", "u^\u0662", "(1_1,0,0)"],
+                         ids=["arabic_indic_one", "arabic_indic_power", "underscore"])
+def test_non_ascii_digit_in_character_args_exits_2(tmp_path, capsys, text):
+    path = write_preset(tmp_path, {
+        "name": "z4_3", "group": {"cyclic_orders": [4, 4, 4]}, "scalars": "cyclotomic",
+        "cochain_F": {"expr": "i1*j2", "base": "root_of_unity", "order": 4},
+        "calculus": {"kind": "characters", "weights": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+    })
+    assert run(capsys, "character", "--preset", path, "--args", "(1,1,1),u,(0,1,0),w")[0] == 0
+    rc, out, err = run(capsys, "character", "--preset", path, "--args", f"(1,1,1),{text},(0,1,0),w")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: bad ") and repr(text) in err
+
+
 def _without(d, key):
     return {k: v for k, v in d.items() if k != key}
 

@@ -1,6 +1,7 @@
-"""The exact mixed-complex and transport laws, decided by composing operator
+"""The exact mixed-complex and transport laws, decided on composite operator
 rows, against the sampled checks they replaced (sampled_reference), and
-under planted bugs that each law must catch.  lambda^(k+1) = id is decided
+under planted bugs that each law must catch, with the counterexamples of
+the Scalar row composition (composite_reference).  lambda^(k+1) = id is decided
 by identity_suite alone, so its planted bug is checked there."""
 
 import ast
@@ -15,7 +16,6 @@ from quasicyc.cyclic import (
     OperatorCache,
     apply_rows,
     cohomology_dims,
-    compose_rows,
     full_tuples,
     identity_suite,
     mixed_complex_report,
@@ -27,6 +27,7 @@ from quasicyc.linalg import rank
 from quasicyc.presets import builtin
 from quasicyc.scalars import Scalar
 from quasicyc.twist import TransportPrefactor, certificate_ok, verify_transport
+from composite_reference import compose_rows, mixed_counterexamples
 from sampled_reference import (
     MIXED_LAWS,
     sampled_mixed_complex_report,
@@ -136,6 +137,11 @@ def _failing(reports):
     return {r.law: r.counterexample for r in reports if not r.holds}
 
 
+def _reference_failing(group, chi, degree_max):
+    """_failing of the report as the reference decides it by composing rows."""
+    return {law: c for law, c in mixed_counterexamples(group, chi, degree_max).items() if c is not None}
+
+
 def _degree_and_tuples(text):
     """(degree, output tuple, input tuple) named by a counterexample."""
     head, out, inp = re.fullmatch(r"degree (\d+) output (\(.*\)) input (\(.*\))", text).groups()
@@ -153,6 +159,7 @@ def test_B_sign_flip_is_caught(monkeypatch):
     monkeypatch.setattr(cyclic, "B_atoms", flipped)
     fails = _failing(mixed_complex_report(GroupSpec((2, 2)), (1, 1), 3))
     assert {"B_squared", "bB_plus_Bb"} <= set(fails)
+    assert fails == _reference_failing(GroupSpec((2, 2)), (1, 1), 3)
     k, out, inp = _degree_and_tuples(fails["B_squared"])
     assert (len(out), len(inp)) == (k - 1, k + 1)  # B^2: C^k -> C^(k-2)
     k, out, inp = _degree_and_tuples(fails["bB_plus_Bb"])
@@ -172,6 +179,7 @@ def test_swapped_face_index_is_caught(monkeypatch):
     monkeypatch.setattr(cyclic, "b_atoms", swapped)
     fails = _failing(mixed_complex_report(GroupSpec((4,)), (1,), 2))
     assert "b_squared" in fails
+    assert fails == _reference_failing(GroupSpec((4,)), (1,), 2)
     k, out, inp = _degree_and_tuples(fails["b_squared"])
     assert (len(out), len(inp)) == (k + 3, k + 1)  # b^2: C^k -> C^(k+2)
     assert "b_squared" in _failing(sampled_mixed_complex_report(GroupSpec((4,)), (1,), 2, count=5))

@@ -107,6 +107,17 @@ def test_parse_element():
         Z2.parse_element("x2")
 
 
+# int() reads other scripts' digits and "_"; element text takes ASCII 0-9 only
+NON_ASCII_DIGITS = pytest.mark.parametrize("text", ["(\u0661,0,0)", "u^\u0662", "(1_1,0,0)"],
+                                           ids=["arabic_indic_one", "arabic_indic_power", "underscore"])
+
+
+@NON_ASCII_DIGITS
+def test_parse_element_reads_ascii_digits_only(text):
+    with pytest.raises(SpecMismatch):
+        GroupSpec((4, 4, 4)).parse_element(text)
+
+
 @given(st.lists(st.integers(-8, 8), min_size=2, max_size=2))
 def test_parse_render_round_trip_free(coords):
     g = tuple(coords)

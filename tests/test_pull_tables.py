@@ -9,12 +9,12 @@ import pytest
 
 import dims_reference
 import pointwise_reference as ref
+from composite_reference import compose_rows
 from quasicyc import cyclic
 from quasicyc.cochains import Cochain2
 from quasicyc.cyclic import (
     OperatorCache,
     _chi_table,
-    compose_rows,
     identity_suite,
     operators,
     space_dim,
