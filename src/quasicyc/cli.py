@@ -38,10 +38,12 @@ from .cochains import (
     domain_elements,
 )
 from .cyclic import (
+    MAX_FILE_DIM,
     CyclicCochain,
     cohomology_dims,
     identity_suite,
     mixed_complex_report,
+    operators,
     periodicity_report,
 )
 from .groups import InfiniteGroup, SpecMismatch
@@ -69,6 +71,15 @@ from .twist import (
 PERIODICITY_DEGREE_CAP = 2
 
 _SUITES = ("cochain", "algebra", "calculus", "cyclic", "twist", "all")
+
+
+def _check_degree_max(pre: Preset, degree_max: int, extra: int) -> None:
+    """Reject, before anything is built, a --degree-max whose largest cochain
+    space |G|^(degree_max + extra) exceeds a cochain file's MAX_FILE_DIM."""
+    n, top = pre.group.order() or 1, degree_max + extra
+    if n ** min(top, MAX_FILE_DIM.bit_length()) > MAX_FILE_DIM:
+        raise ValueError(f"--degree-max {degree_max} on a group of order {n} needs cochains on "
+                         f"|G|^{top} > {MAX_FILE_DIM} support tuples")
 
 
 def _domain_for(pre: Preset, window: int):
@@ -218,6 +229,7 @@ def _cmd_verify(pre: Preset, args) -> int:
     if pre.group.free_rank and not args.window:
         # window(0) holds only the identity, so every row would pass vacuously
         raise ValueError("--window must be >= 1 on a group with a free part")
+    _check_degree_max(pre, args.degree_max, 2)
     suites = _SUITES[:-1] if args.suite == "all" else (args.suite,)
     rows = []
     for s in suites:
@@ -260,18 +272,16 @@ def _cmd_character(pre: Preset, args) -> int:
 
 
 def _cmd_cohomology(pre: Preset, args) -> int:
-    rows = cohomology_dims(
-        pre.group,
-        pre.ribbon_weight(),
-        args.degree_max,
-        args.which,
-        twist=pre.cochain() if args.twisted else None,
-    )
+    _check_degree_max(pre, args.degree_max, 1)
+    chi, twist = pre.ribbon_weight(), pre.cochain() if args.twisted else None
+    rows = cohomology_dims(pre.group, chi, args.degree_max, args.which, twist=twist)
+    N = operators(pre.group, chi, twist).N
     report = {
         "preset": pre.name,
         "which": args.which,
         "degree_max": args.degree_max,
         "twisted": args.twisted,
+        "field": "Q" if N == 1 else f"Q(zeta_{N})",
         "rows": rows,
     }
     print(json.dumps(report, indent=2, sort_keys=True))

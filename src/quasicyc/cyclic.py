@@ -26,16 +26,14 @@ every cochain and much cheaper: on a finite group identity_suite compares
 the two sides' composite tables; on a group with a free part it folds
 each side's primitives at every sampled tuple, each evaluated at most
 once per tuple in a call, from a memo keyed by (kind, degree, index) that
-it drops on return.  Operators act on vectors only as sparse rows, lists
-of (col, coeff) pairs, built by atom_rows from the atoms' tables and
-applied by the one applier apply_rows (linalg's): it sums on integer
-power-basis vectors in Z[zeta_N] with the entry reader and products that
-linalg.rank uses, and forms one Scalar per nonzero output entry; an int
-vector stays ints under +-1 rows.  An operator identity on a finite group
-is decided exactly, for every cochain, as a signed sum of composites of
-stored rows by linalg.composite_witness, which sums their coefficients as
-integer root-of-unity counts; operator_counterexample names the support
-tuples of the first that does not cancel.  mixed_complex_report decides
+it drops on return.  Operators act on vectors only as row sets in
+linalg's integer form (a unit +-zeta_N^a as its code in Z/2N), written by
+OperatorCache.atom_rows from the atoms' tables and applied by the one
+applier apply_rows (linalg's).  An operator identity on a finite group is
+decided exactly, for every cochain, as a signed sum of composites of
+stored row sets by linalg.composite_witness, on integer root-of-unity
+counts; operator_counterexample names the support tuples of the first
+coefficient that does not cancel.  mixed_complex_report decides
 the mixed-complex laws that way, and twist.verify_transport the
 intertwining b^F T = T b on the twisted b rows that cohomology_dims
 reads.  lambda^{k+1} = id is decided by identity_suite.
@@ -45,11 +43,12 @@ from operators(), one lru_cache of plain and twisted stores bounded at
 two, so the hh and hc dims of one family, plain and twisted, build each
 row once.  cohomology_dims, cyclic_cocycle_basis, mixed_complex_report,
 periodicity_report and the apply_b/lambda/N/B/S functions read it.  A
-plain store keeps the tables of its primitive pulls, which identity_suite
-reads when it checks the unwrapped operators; a twisted store keeps the
+store fixes its field Q(zeta_N) from chi's table and the twist's values
+when it builds its first row set (never, on a group with a free part), and
+checks each row set once, there.  A plain store keeps the tables of its
+primitive pulls, which identity_suite reads too; a twisted store keeps the
 twist's TransportPrefactor, and its rows are P X P^{-1}, the plain rows
-scaled by P on the output side and P^{-1} on the input side.
-Rows go to linalg.rank as they are stored, sparse.  The hc rank of b on
+scaled by P and P^{-1}, codes added where P is a unit.  The hc rank of b on
 the lambda-invariant part is rank[lambda - id; b] - rank(lambda - id).
 
 The extra degeneracy is s_{-1} = (-1)^n s_0 lambda^{-1} and the
@@ -76,7 +75,8 @@ from functools import lru_cache
 
 from .cochains import LawReport
 from .groups import GroupSpec, InfiniteGroup, SpecMismatch
-from .linalg import apply_rows, composite_witness, rank, rank_kernel
+from .linalg import apply_rows, composite_witness, conjugated, entry, field_order
+from .linalg import rank, rank_kernel, table_rows
 from .scalars import Scalar, Unit
 
 
@@ -134,8 +134,9 @@ def _mul_table(group: GroupSpec):
     return {(a, b): group.mul(a, b) for a in els for b in els}
 
 
-# the most entries a cochain file may give its vector, |G|^degree, or the
-# product table, |G|^2: Z2^3 at degree 6, about 70 MB once read
+# the most entries a cochain file may give its vector (|G|^degree) or its
+# product table (|G|^2), and the largest space a CLI --degree-max may need
+# on a finite group: Z2^3 at degree 6, about 70 MB once read
 MAX_FILE_DIM = 1 << 18
 
 
@@ -413,7 +414,8 @@ def pull_table(group, pulls, out_degree, memo):
 
 def _apply_atoms(phi: CyclicCochain, atoms, out_degree: int) -> CyclicCochain:
     """Sum of coeff * (pullback phi) over atoms, as a new cochain."""
-    vec = apply_rows(atom_rows(phi.group, atoms, out_degree), phi.vec, Scalar.zero())
+    rows = operators(phi.group, phi.chi).atom_rows(atoms, out_degree, phi.degree)
+    vec = apply_rows(rows, phi.vec, Scalar.zero())
     return CyclicCochain(phi.group, phi.chi, out_degree, vec)
 
 
@@ -504,38 +506,12 @@ def apply_S(phi: CyclicCochain) -> CyclicCochain:
     return Scalar.rational(-1, n * (n + 1)) * _apply_stored(phi, "S")
 
 
-def _row_coeff(coeff, c):
-    # skips int * Unit and two ==: 4% of a cold certs round, 10% of dims (in-process A/B)
-    if c is _ONE and coeff in (1, -1):
-        return coeff
-    v = c if coeff == 1 else coeff * c
-    return 1 if v == 1 else -1 if v == -1 else v
-
-
-def atom_rows(group, atoms, out_degree, memo=None):
-    """The sparse rows [(col, coeff)] of the sum of the (coeff, pulls)
-    atoms, one per output tuple in vector order, an entry per atom in atom
-    order.  Each atom's table comes from pull_table, with primitive tables
-    memoized in memo (one dict per call when None).  Coefficients +1/-1 are stored as ints
-    so the apply loop can skip scalar multiplication; the others are
-    Units.  Twisted rows are not built here: a twisted store scales these."""
-    if memo is None:
-        memo = {}
-    columns = []
-    for coeff, pulls in atoms:
-        idx, coef, _ = pull_table(group, pulls, out_degree, memo)
-        columns.append(zip(idx, [_row_coeff(coeff, c) for c in coef]))
-    if not columns:
-        return [[] for _ in full_tuples(group, out_degree)]
-    return [list(row) for row in zip(*columns)]
-
-
 def operator_counterexample(group, in_degree, out_degree, terms):
     """None when the operator C^in_degree -> C^out_degree that terms
     compose (linalg.composite_witness's (sign, outer, inner) triples) is
     zero, else "degree k output ... input ..." naming the support tuples
     of its first coefficient that did not cancel."""
-    bad = composite_witness(terms, space_dim(group, in_degree))
+    bad = composite_witness(terms)
     if bad is None:
         return None
     i, col = bad
@@ -556,8 +532,8 @@ def _check_same_group(F, group: GroupSpec):
 class TransportPrefactor:
     """Memoized evaluator of the left-to-right transport prefactor of a
     2-cochain F (see the twist module) and of its inverse, one memo each,
-    and on a finite group their lists over the support tuples of a degree,
-    one per degree and side."""
+    and on a finite group its list over the support tuples of a degree,
+    one per degree."""
 
     __slots__ = ("F", "_mul", "_memo", "_inverse", "_lists")
 
@@ -566,7 +542,7 @@ class TransportPrefactor:
         self._mul = _mul_table(F.group)
         self._memo = {}
         self._inverse = {}
-        self._lists = {}  # k -> values(k); ~k -> inverses(k)
+        self._lists = {}  # k -> values(k)
 
     def value(self, gs: tuple):
         """P at the tuple gs, its elements reduced."""
@@ -598,16 +574,6 @@ class TransportPrefactor:
             out = self._lists[k] = [self.value(t) for t in full_tuples(self.F.group, k)]
         return out
 
-    def inverses(self, k: int) -> dict:
-        """{1: P^{-1}, -1: -P^{-1}} at each support tuple of degree k, in
-        full_tuples order, the inverses of values(k): a +-1 row entry reads
-        its product from a list."""
-        out = self._lists.get(~k)
-        if out is None:
-            inv = [p.inverse() for p in self.values(k)]
-            out = self._lists[~k] = {1: inv, -1: [-x for x in inv]}
-        return out
-
     def wrap(self, pull):
         """pull conjugated by transport: the coefficient c of t -> t_in
         becomes P(t) c P^{-1}(t_in).  Coefficients telescope under
@@ -622,10 +588,10 @@ class TransportPrefactor:
 class OperatorCache:
     """Rows of b, B, lambda, N, lambda - id and S (without its -1/(n(n+1))
     factor) per degree for one (group, chi) pair, or under a twist F of
-    their conjugates P X P^{-1}, each built on first use.  Plain rows come
-    from the tables of the atoms' primitive pulls, which identity_suite
-    reads too; twisted rows are the plain store's, scaled by _conjugate.
-    OPS maps an operator to the degree shift of its output."""
+    their conjugates P X P^{-1}, each a linalg.RowSet over Q(zeta_N) built
+    on first use.  Plain rows come from the tables of the atoms'
+    primitive pulls; twisted rows are the plain store's, conjugated.  OPS
+    maps an operator to the degree shift of its output."""
 
     OPS = {"b": 1, "B": -1, "N": 0, "lambda": 0, "lambda_minus_id": 0, "S": 2}
 
@@ -635,45 +601,59 @@ class OperatorCache:
         self.prefactor = None if twist is None else TransportPrefactor(twist)
         self._rows = {}
         self.tables = {}  # pull_table's memo of primitive tables
+        self._N = None
+        self._entries = {}  # k -> P on C^k as linalg entries; ~k -> P^{-1}
+
+    @property
+    def N(self) -> int:
+        """The order of the rows' field, 1 for Q, fixed on first use."""
+        if self._N is None:  # _els raises on a free group before F is read
+            values = list(_chi_table(self.group, self.chi).values())
+            if self.prefactor is not None:
+                value, els = self.prefactor.F.value, _els(self.group)
+                values += [value(g, h) for g in els for h in els]
+            self._N = field_order(values)
+        return self._N
 
     def rows(self, op: str, degree: int):
         """Stored rows of op on C^degree, built on first use."""
         key = (op, degree)
-        if key not in self._rows:
-            grp, chi = self.group, self.chi
-            if self.prefactor is not None:
-                plain = operators(grp, chi).rows(op, degree)
-                self._rows[key] = self._conjugate(plain, degree + self.OPS[op], degree)
-                return self._rows[key]
-            if op == "b":
-                atoms = b_atoms(grp, chi, degree)
-            elif op == "B":
-                atoms = B_atoms(grp, chi, degree)
-            elif op == "N":
-                atoms = n_atoms(grp, chi, degree)
-            elif op == "lambda":
-                atoms = [(1, (lambda_pull(grp, chi, degree),))]
-            elif op == "lambda_minus_id":
-                atoms = lambda_minus_id_atoms(grp, chi, degree)
-            elif op == "S":
-                atoms = s_atoms(grp, chi, degree)
-            else:
-                raise ValueError(f"unknown operator {op!r}")
-            self._rows[key] = atom_rows(grp, atoms, degree + self.OPS[op], self.tables)
-        return self._rows[key]
+        out = self._rows.get(key)
+        if out is not None:
+            return out
+        grp, chi = self.group, self.chi
+        if op not in self.OPS:
+            raise ValueError(f"unknown operator {op!r}")
+        out_degree = degree + self.OPS[op]
+        if self.prefactor is not None:
+            out = conjugated(operators(grp, chi).rows(op, degree), self._prefactor_entries(out_degree),
+                             self._prefactor_entries(~degree), self.N)
+        else:
+            atoms = {"b": b_atoms, "B": B_atoms, "N": n_atoms, "lambda_minus_id": lambda_minus_id_atoms,
+                     "S": s_atoms, "lambda": lambda_atoms}[op](grp, chi, degree)
+            out = self.atom_rows(atoms, out_degree, degree)
+        self._rows[key] = out
+        return out
 
-    def _conjugate(self, rows, out_degree, in_degree):
-        """Rows of P X P^{-1} from the rows of X: C^in_degree -> C^out_degree,
-        a diagonal scaling: entry (col, c) of row r becomes P(out_r) c
-        P^{-1}(in_col) at the support tuples of row r and column col, one
-        product per entry, a +-1 entry reading P^{-1} or -P^{-1} from a list."""
-        signed = self.prefactor.inverses(in_degree)
-        inv = signed[1]
-        return [
-            [(col, p * (signed[c][col] if c.__class__ is int else c * inv[col]))
-             for col, c in row]
-            for p, row in zip(self.prefactor.values(out_degree), rows)
-        ]
+    def atom_rows(self, atoms, out_degree: int, in_degree: int):
+        """The row set C^in_degree -> C^out_degree of the sum of the (sign,
+        pulls) atoms, from their pull tables, each distinct coefficient of a
+        table read once."""
+        columns = []
+        for sign, pulls in atoms:
+            idx, coef, _ = pull_table(self.group, pulls, out_degree, self.tables)
+            read = {k: entry(sign * c, self.N) for k, c in dict(zip(map(id, coef), coef)).items()}
+            columns.append((idx, list(map(read.__getitem__, map(id, coef)))))
+        return table_rows(columns, self.N, space_dim(self.group, in_degree))
+
+    def _prefactor_entries(self, k: int) -> list:
+        """P at the support tuples of degree k, in full_tuples order, as
+        linalg entries over the store's field; for ~k, P^{-1}."""
+        out = self._entries.get(k)
+        if out is None:
+            values = self.prefactor.values(k if k >= 0 else ~k)
+            out = self._entries[k] = [entry(p if k >= 0 else p.inverse(), self.N) for p in values]
+        return out
 
 
 def operators(group: GroupSpec, chi, twist=None) -> OperatorCache:
@@ -740,7 +720,7 @@ def cyclic_cocycle_basis(group: GroupSpec, chi, degree: int):
     scalar vectors."""
     rows = operators(group, chi).rows
     stacked = rows("lambda_minus_id", degree) + rows("b", degree)
-    return rank_kernel(stacked, space_dim(group, degree))[1]
+    return rank_kernel(stacked)[1]
 
 
 def periodicity_report(
@@ -1004,6 +984,10 @@ def identity_suite(
 # ---------------------------------------------------------------------------
 # cohomology dimensions
 
+def lambda_atoms(group, chi, k):
+    return [(1, (lambda_pull(group, chi, k),))]
+
+
 def lambda_minus_id_atoms(group, chi, k):
     return [(1, (lambda_pull(group, chi, k),)), (-1, ())]
 
@@ -1040,14 +1024,14 @@ def cohomology_dims(
         dim_k = space_dim(group, k)
         if which == "hh":
             dim_c = dim_k
-            rank_out = rank(rows("b", k), dim_k)
+            rank_out = rank(rows("b", k))
         else:
             lam = rows("lambda_minus_id", k)
-            rank_lam = rank(lam, dim_k)
+            rank_lam = rank(lam)
             dim_c = dim_k - rank_lam
             rank_out = 0
             if dim_c:
-                rank_out = rank(lam + rows("b", k), dim_k) - rank_lam
+                rank_out = rank(lam + rows("b", k)) - rank_lam
         out.append({
             "degree": k,
             "dim_C": dim_c,

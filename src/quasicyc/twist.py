@@ -19,10 +19,11 @@ the conjugated pulls (its wrap, which conjugator returns) all read it.  P
 is a `scalars.Unit` when F's values are Units, so a conjugated coefficient
 is a sum of exponents.  transport and transport_inverse evaluate P, or
 P^{-1}, only at the nonzero entries of the cochain.  On stored rows
-conjugation is a diagonal scaling, kept in the twisted store
-cyclic.operators(group, chi, F): cohomology_dims(twist=),
-apply_b/lambda_twisted and verify_transport read it, so the hh and hc dims
-and the certificate of one twist build each P and each row once.
+conjugation is a diagonal scaling (an addition of codes where P is a unit),
+kept in the twisted store cyclic.operators(group, chi, F):
+cohomology_dims(twist=), apply_b/lambda_twisted and verify_transport read
+it, so the hh and hc dims and the certificate of one twist build each P and
+each row once.
 Conjugation is the normative definition: the conjugated module satisfies
 every cocyclic identity automatically, so identity checks on it exercise
 the transport code, not the algebra.  The group-like specializations of
@@ -53,6 +54,7 @@ from .cyclic import (
     sample_tuples,
 )
 from .groups import GroupSpec, InfiniteGroup
+from .linalg import row_set
 
 
 def transport(phi: CyclicCochain, F: Cochain2) -> CyclicCochain:
@@ -159,7 +161,7 @@ def verify_transport(
         b^F T = T b on C^k for every k <= degree_max, decided exactly on a
         finite group on the rows that cohomology_dims(twist=) eliminates,
         the b rows of the twisted store (cyclic.operators(group, chi, F)):
-        b^F T - T b, T the diagonal rows of the store's prefactor, goes to
+        b^F T - T b, T the diagonal row sets of the prefactor, goes to
         cyclic.operator_counterexample as [(1, b^F_k, T_k), (-1, T_{k+1},
         b_k)]; skipped on infinite groups;
     (c) the twisted-calculus character equals transport of the untwisted one,
@@ -200,7 +202,8 @@ def verify_transport(
     if finite:
         plain = operators(group, chi).rows
         bad = None
-        T = [[[(i, p)] for i, p in enumerate(pref.values(k))] for k in range(degree_max + 2)]
+        T = [row_set([[(i, p)] for i, p in enumerate(v)], len(v), store.N)
+             for v in map(pref.values, range(degree_max + 2))]
         for k in range(degree_max + 1):
             bad = operator_counterexample(
                 group, k, k + 1, [(1, store.rows("b", k), T[k]), (-1, T[k + 1], plain("b", k))]

@@ -3,11 +3,13 @@ the reference: compose_rows multiplies two row sets into the rows of the
 composite, summing like columns through the Scalar path (Unit + Unit and
 Scalar + Scalar), and row_counterexample compares two composites row by
 row.  mixed_complex_report and part (b) of twist.verify_transport are
-restated here on top of them, so the kernel's verdicts and counterexample
-texts can be compared with these.
+restated here on top of them, on the store's row sets read back as
+(col, value) pairs by unit_rows_reference.pairs, so the kernel's verdicts
+and counterexample texts can be compared with these.
 """
 
 from quasicyc.cyclic import full_tuples, operators
+from unit_rows_reference import pairs
 
 
 def _row_sum(pairs) -> list:
@@ -55,7 +57,9 @@ def row_counterexample(group, in_degree, out_degree, rows, other=None):
 def mixed_counterexamples(group, chi, degree_max) -> dict:
     """{law: counterexample or None} of the mixed-complex laws, as
     cyclic.mixed_complex_report decided them by composing rows."""
-    rows = operators(group, chi).rows
+    def rows(op, k):
+        return pairs(operators(group, chi).rows(op, k))
+
     out = dict.fromkeys(("b_squared", "B_squared", "bB_plus_Bb", "N_lambda"))
 
     def check(law, k, out_degree, lhs, rhs=None):
@@ -79,12 +83,11 @@ def intertwining_counterexample(F, chi, group, degree_max):
     rows, T the diagonal rows of the prefactor: None or the first
     counterexample."""
     store = operators(group, chi, F)
-    plain = operators(group, chi).rows
     pref = store.prefactor
     T = [[[(i, p)] for i, p in enumerate(pref.values(k))] for k in range(degree_max + 2)]
     for k in range(degree_max + 1):
-        lhs = compose_rows(store.rows("b", k), T[k])
-        rhs = compose_rows(T[k + 1], plain("b", k))
+        lhs = compose_rows(pairs(store.rows("b", k)), T[k])
+        rhs = compose_rows(T[k + 1], pairs(operators(group, chi).rows("b", k)))
         bad = row_counterexample(group, k, k + 1, lhs, rhs)
         if bad is not None:
             return bad

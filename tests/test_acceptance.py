@@ -21,16 +21,13 @@ from quasicyc.cyclic import (
     CyclicCochain,
     apply_b,
     apply_rows,
-    atom_rows,
     apply_lambda,
-    b_atoms,
     cohomology_dims,
     full_tuples,
     identity_suite,
-    lambda_pull,
     mixed_complex_report,
+    operators,
     periodicity_report,
-    s_atoms,
 )
 from quasicyc.groups import GroupSpec
 from quasicyc.presets import builtin
@@ -206,11 +203,11 @@ def test_07_periodicity_preserves_cyclic_cocycles():
             val = character_closed(spec, "general", t)
             assert val.tag == RATIONAL and val.payload.denominator == 1
             vec.append(int(val.payload))
-        sv = apply_rows(atom_rows(E3, s_atoms(E3, OCT_CHI, 3), 5), vec, 0)
+        rows = operators(E3, OCT_CHI).rows
+        sv = apply_rows(rows("S", 3), vec, 0)
         assert all(type(v) is int for v in sv)
-        lam_rows = atom_rows(E3, [(1, (lambda_pull(E3, OCT_CHI, 5),))], 5)
-        assert apply_rows(lam_rows, sv, 0) == sv
-        bv = apply_rows(atom_rows(E3, b_atoms(E3, OCT_CHI, 5), 6), sv, 0)
+        assert apply_rows(rows("lambda", 5), sv, 0) == sv
+        bv = apply_rows(rows("b", 5), sv, 0)
         assert not any(bv)
 
 

@@ -17,13 +17,14 @@ from pathlib import Path
 import pytest
 
 import dims_reference
+import unit_rows_reference
 from quasicyc import cyclic
 from quasicyc.cochains import Cochain2
 from quasicyc.cyclic import OperatorCache, apply_rows, operators, periodicity_report
 from quasicyc.groups import GroupSpec
-from quasicyc.linalg import LaurentScalars
+from quasicyc.linalg import LaurentScalars, row_set
 from quasicyc.presets import builtin, load
-from quasicyc.scalars import CYCLOTOMIC, RingMismatch, Scalar, Unit
+from quasicyc.scalars import RingMismatch, Scalar, Unit
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 Z5 = GroupSpec((5,))
@@ -77,32 +78,28 @@ def _vectors(dim, N, rng):
     return ints, rational, field
 
 
-def _fractional(c):
-    """Whether the row entry c has a Fraction coordinate."""
-    if c.__class__ is Unit:
-        return c.c.__class__ is Fraction
-    if c.__class__ is Scalar:
-        coords = c.payload if c.tag == CYCLOTOMIC else (c.payload,)
-        return any(y.__class__ is Fraction for y in coords)
-    return False
-
-
 def _degrees(op):
     return (1, 2) if op == "B" else (0, 1, 2)
 
 
-def _check_against_reference(rows, vectors):
+def _check_against_reference(rows, unit_rows, vectors):
+    """The stored row set applied as the Scalar applier applies the Unit
+    rows the store held before."""
     ints, rational, field = vectors
-    got, wants = apply_rows(rows, ints, 0), dims_reference.apply_rows(rows, ints, 0)
+    got, wants = apply_rows(rows, ints, 0), dims_reference.apply_rows(unit_rows, ints, 0)
     assert got == wants
-    plain = all(c.__class__ is int for row in rows for _, c in row)
-    for v, want in zip(got, wants):
+    plain = all(c.__class__ is int for row in unit_rows for _, c in row)
+    for i, (v, want) in enumerate(zip(got, wants)):
         # ints out where the reference gives ints: under +-1 rows, everywhere
         assert type(v) is int or not plain
-        assert type(v) is type(want) or not v
+        # an int wherever the entries the row reads are rational integers
+        read = [e for col, e in rows[i].items() if ints[col]]
+        integral = (rows.dens is None or rows.dens[i] == 1) and all(
+            e in (0, rows.N) if e.__class__ is int else not any(e[1:]) for e in read)
+        assert type(v) is (int if integral else Scalar) or not v
     for vec in (rational, field):
         got = apply_rows(rows, vec, Scalar.zero())
-        assert got == dims_reference.apply_rows(rows, vec, Scalar.zero())
+        assert got == dims_reference.apply_rows(unit_rows, vec, Scalar.zero())
         assert all(v.__class__ is Scalar for v in got)
 
 
@@ -112,7 +109,8 @@ def test_plain_rows_match_the_scalar_applier(grp, chi, N, op):
     rng = random.Random(f"{grp}{chi}{op}")
     for k in _degrees(op):
         rows = operators(grp, chi).rows(op, k)
-        _check_against_reference(rows, _vectors(cyclic.space_dim(grp, k), N, rng))
+        unit_rows = unit_rows_reference.stored_rows(grp, chi, op, k)
+        _check_against_reference(rows, unit_rows, _vectors(cyclic.space_dim(grp, k), N, rng))
 
 
 @pytest.mark.parametrize("op", sorted(OperatorCache.OPS))
@@ -121,36 +119,38 @@ def test_twisted_rows_match_the_scalar_applier(op):
     for grp, chi, F, N in _twisted():
         for k in _degrees(op):
             rows = operators(grp, chi, F).rows(op, k)
-            _check_against_reference(rows, _vectors(cyclic.space_dim(grp, k), N, rng))
+            unit_rows = unit_rows_reference.stored_rows(grp, chi, op, k, F)
+            _check_against_reference(rows, unit_rows, _vectors(cyclic.space_dim(grp, k), N, rng))
 
 
 def test_the_fractional_twist_gives_rows_with_denominators():
     rows = operators(Z5, (1,), _z5_fractional()).rows
     for op in ("b", "S"):
-        assert any(_fractional(c) for row in rows(op, 1) for _, c in row), op
+        assert any(d > 1 for d in rows(op, 1).dens), op
 
 
 def test_a_row_with_denominators_is_divided_back():
     third, half = Scalar.rational(1, 3), Scalar.cyclotomic(4, [Fraction(1, 2), 1])
     rows = [[(0, third), (1, 1)], [(0, half), (1, -1), (0, -1)], [(1, third), (1, third)], []]
     vec = [Scalar.rational(3, 4), Scalar.cyclotomic(4, [0, Fraction(-2, 5)])]
-    assert apply_rows(rows, vec, Scalar.zero()) == dims_reference.apply_rows(rows, vec, Scalar.zero())
-    assert apply_rows([[(0, 1), (1, -1)]], [Scalar.rational(1, 2)] * 2, "zero") == ["zero"]
+    got = apply_rows(row_set(rows, 2), vec, Scalar.zero())
+    assert got == dims_reference.apply_rows(rows, vec, Scalar.zero())
+    assert apply_rows(row_set([[(0, 1), (1, -1)]], 2), [Scalar.rational(1, 2)] * 2, "zero") == ["zero"]
 
 
 def test_laurent_entries_raise():
     q = Unit.q_power(1)
     with pytest.raises(LaurentScalars):
-        apply_rows([[(0, q)]], [1], 0)
+        apply_rows(row_set([[(0, q)]], 1), [1], 0)
     with pytest.raises(LaurentScalars):
-        apply_rows([[(0, 1)]], [Scalar.q_power(2)], 0)
+        apply_rows(row_set([[(0, 1)]], 1), [Scalar.q_power(2)], 0)
 
 
 def test_two_cyclotomic_fields_raise():
     with pytest.raises(RingMismatch):
-        apply_rows([[(0, Unit.root_of_unity(3, 1))]], [Scalar.root_of_unity(4, 1)], 0)
+        apply_rows(row_set([[(0, Unit.root_of_unity(3, 1))]], 1), [Scalar.root_of_unity(4, 1)], 0)
     with pytest.raises(RingMismatch):
-        apply_rows([[(0, Unit.root_of_unity(3, 1))], [(0, Unit.root_of_unity(5, 1))]], [1], 0)
+        apply_rows(row_set([[(0, Unit.root_of_unity(3, 1))], [(0, Unit.root_of_unity(5, 1))]], 1), [1], 0)
 
 
 @pytest.mark.parametrize("field", [False, True], ids=["rational", "Q(zeta_4)"])
@@ -158,8 +158,10 @@ def test_no_scalar_arithmetic_runs(monkeypatch, field):
     grp = GroupSpec((4,))
     F = Cochain2.from_expr(grp, ("root_of_unity", 4), "i1*i1*j1")
     rows = operators(grp, (1,)).rows("b", 1) + operators(grp, (1,), F).rows("b", 1)
+    unit_rows = (unit_rows_reference.stored_rows(grp, (1,), "b", 1)
+                 + unit_rows_reference.stored_rows(grp, (1,), "b", 1, F))
     vec = _vectors(cyclic.space_dim(grp, 1), 4, random.Random(5))[2 if field else 1]
-    want = dims_reference.apply_rows(rows, vec, Scalar.zero())
+    want = dims_reference.apply_rows(unit_rows, vec, Scalar.zero())
 
     def forbidden(*_):
         raise AssertionError("Scalar arithmetic in apply_rows")

@@ -188,7 +188,7 @@ def test_verify_failure_exits_1_with_counterexample(capsys, monkeypatch):
     assert "FAILED cochain.unital at ((0,), (1,))" in err
 
 
-def test_cohomology_report(capsys):
+def test_cohomology_report(capsys, tmp_path):
     rc, out, _ = run(
         capsys, "cohomology", "--preset", "z2_trivial", "--which", "hh",
         "--degree-max", "2", "--twisted",
@@ -197,8 +197,53 @@ def test_cohomology_report(capsys):
     rep = json.loads(out)
     assert rep["which"] == "hh"
     assert rep["twisted"] is True
+    assert rep["field"] == "Q"
     assert [r["degree"] for r in rep["rows"]] == [0, 1, 2]
     assert all("dim" in r for r in rep["rows"])
+    # a character of order 4 puts the ranks over Q(zeta_4)
+    rc, out, _ = run(capsys, "cohomology", "--preset", _z4_preset(tmp_path), "--which", "hc",
+                     "--degree-max", "1")
+    assert rc == 0
+    assert json.loads(out)["field"] == "Q(zeta_4)"
+
+
+def _z4_preset(tmp_path):
+    path = tmp_path / "z4.json"
+    path.write_text(json.dumps({
+        "name": "z4", "group": {"cyclic_orders": [4]}, "scalars": "cyclotomic",
+        "cochain_F": {"expr": "i1*j1", "base": "root_of_unity", "order": 4},
+        "calculus": {"kind": "characters", "weights": [[1]]},
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ("cohomology", "--preset", "octonion", "--which", "hh", "--degree-max", "7"),
+    ("cohomology", "--preset", "z2_trivial", "--which", "hc", "--degree-max", str(10**9)),
+    ("verify", "--preset", "octonion", "--suite", "cyclic", "--degree-max", "5"),
+    ("verify", "--preset", "octonion", "--suite", "cochain", "--degree-max", str(10**9)),
+], ids=["cohomology_octonion_7", "cohomology_huge", "verify_octonion_5", "verify_huge"])
+def test_degree_max_beyond_the_file_bound_exits_2(capsys, monkeypatch, argv):
+    # rejected before any row or table is built: the commands never start
+    def never(*_, **__):
+        raise AssertionError("built before the degree was checked")
+
+    monkeypatch.setattr(cli, "cohomology_dims", never)
+    for suite in cli._SUITE_FNS:
+        monkeypatch.setitem(cli._SUITE_FNS, suite, never)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert "--degree-max" in err and f"> {MAX_FILE_DIM}" in err
+
+
+def test_degree_max_bound_keeps_the_documented_commands():
+    octonion, z2 = builtin("octonion"), builtin("z2_trivial")
+    cli._check_degree_max(octonion, 3, 2)  # README: verify --suite all --degree-max 3
+    cli._check_degree_max(octonion, 5, 1)  # |G|^6 = MAX_FILE_DIM itself
+    cli._check_degree_max(z2, 3, 2)  # the benchmark's largest CLI degree
+    cli._check_degree_max(builtin("torus"), 10**9, 2)  # windows, not cochain spaces
+    with pytest.raises(ValueError, match="--degree-max 6"):
+        cli._check_degree_max(octonion, 6, 1)
 
 
 def test_twist_subcommand_round_trip(tmp_path, capsys):

@@ -22,7 +22,8 @@ from composite_reference import (
 from quasicyc.cochains import Cochain2
 from quasicyc.cyclic import OperatorCache, mixed_complex_report, operator_counterexample, operators
 from quasicyc.groups import GroupSpec
-from quasicyc.linalg import LaurentScalars, composite_witness
+from quasicyc.linalg import LaurentScalars, RowSet, composite_witness, row_set
+from unit_rows_reference import pairs
 from quasicyc.presets import builtin, load
 from quasicyc.scalars import RingMismatch, Scalar, Unit
 from quasicyc.twist import verify_transport
@@ -88,7 +89,7 @@ def test_nonzero_composites_match_reference(draw):
     for k in range(1, min(degree, 2) + 1):
         for outer, shift, inner, inner_shift in COMPOSITES:
             mid = k + inner_shift
-            lhs = compose_rows(rows(outer, mid), rows(inner, k))
+            lhs = compose_rows(pairs(rows(outer, mid)), pairs(rows(inner, k)))
             out_degree = mid + shift
             want = row_counterexample(group, k, out_degree, lhs)
             nonzero += want is not None
@@ -97,9 +98,9 @@ def test_nonzero_composites_match_reference(draw):
         # 2 N and N - N lambda^2: a sum that is not zero, and one that is
         N, lam = rows("N", k), rows("lambda", k)
         assert operator_counterexample(group, k, k, [(1, N, lam), (1, N, None)]) == row_counterexample(
-            group, k, k, compose_rows(N, lam), [[(c, -v) for c, v in r] for r in N]
+            group, k, k, compose_rows(pairs(N), pairs(lam)), [[(c, -v) for c, v in r] for r in pairs(N)]
         )
-        lam2 = compose_rows(lam, lam)
+        lam2 = row_set(compose_rows(pairs(lam), pairs(lam)), lam.n)
         assert operator_counterexample(group, k, k, [(1, N, None), (-1, N, lam2)]) is None
     assert nonzero >= 3
 
@@ -122,7 +123,7 @@ def test_intertwining_matches_reference_on_presets(preset):
     if preset == "z5_table":
         # the twisted rows hold Scalars that are no monomials
         twisted = operators(group, chi, F).rows("b", 1)
-        assert any(c.__class__ is Scalar and Unit.of(c) is None for row in twisted for _, c in row)
+        assert any(e.__class__ is tuple for row in twisted for e in row.values())
 
 
 @pytest.mark.parametrize("draw", TWIST_DRAWS, ids=_draw_id)
@@ -146,11 +147,12 @@ def test_sum_that_cancels_only_through_the_cyclotomic_relation_is_zero():
     # different codes, each count 1, and the sum is zero
     chi_rows = [[(0, Z3.char_eval((1,), g))] for g in Z3.elements()]
     assert len({row[0][1] for row in chi_rows}) == 3
-    assert composite_witness([(1, [[(0, 1), (1, 1), (2, 1)]], chi_rows)], 1) is None
+    chi_rows = row_set(chi_rows, 1)
+    assert composite_witness([(1, row_set([[(0, 1), (1, 1), (2, 1)]], 3), chi_rows)]) is None
     # one count short: 1 + zeta is not zero, nor is 1 + zeta + zeta^2 + 1
-    assert composite_witness([(1, [[(0, 1), (1, 1)]], chi_rows)], 1) == (0, 0)
-    assert composite_witness([(1, [[(0, 1), (1, 1), (2, 1)]], chi_rows),
-                              (1, [[(0, 1)]], None)], 1) == (0, 0)
+    assert composite_witness([(1, row_set([[(0, 1), (1, 1)]], 3), chi_rows)]) == (0, 0)
+    assert composite_witness([(1, row_set([[(0, 1), (1, 1), (2, 1)]], 3), chi_rows),
+                              (1, row_set([[(0, 1)]], 1), None)]) == (0, 0)
 
 
 def test_counts_that_stay_nonzero_are_nonzero():
@@ -159,22 +161,29 @@ def test_counts_that_stay_nonzero_are_nonzero():
     # is left at column 3 and zeta + zeta^2 at column 1
     rows = [[(2, zeta), (2, -zeta)],
             [(3, zeta), (1, zeta), (0, zeta), (3, zeta), (1, zeta * zeta), (0, zeta.inverse())]]
-    assert composite_witness([(1, rows, None)], 4) == (1, 1)
-    assert composite_witness([(1, rows[:1], None)], 4) is None
+    assert composite_witness([(1, row_set(rows, 4), None)]) == (1, 1)
+    assert composite_witness([(1, row_set(rows[:1], 4), None)]) is None
     # rational counts from Scalars that are no monomials: (1 + z)/2 - 1/2 - z/2 = 0
     half = Scalar.cyclotomic(5, [Fraction(1, 2), Fraction(1, 2)])
-    assert composite_witness([(1, [[(0, half)]], None), (-1, [[(0, Scalar.rational(1, 2))]], None),
-                              (-1, [[(0, Unit(Fraction(1, 2), 5, 1))]], None)], 1) is None
-    assert composite_witness([(1, [[(0, half)]], None), (-1, [[(0, Unit.root_of_unity(5, 1))]], None)], 1) == (0, 0)
+
+    def one(x):
+        return row_set([[(0, x)]], 1)
+
+    assert composite_witness([(1, one(half), None), (-1, one(Scalar.rational(1, 2)), None),
+                              (-1, one(Unit(Fraction(1, 2), 5, 1)), None)]) is None
+    assert composite_witness([(1, one(half), None), (-1, one(Unit.root_of_unity(5, 1)), None)]) == (0, 0)
 
 
 def test_entries_are_validated():
     with pytest.raises(LaurentScalars):
-        composite_witness([(1, [[(0, Unit.q_power(1))]], None)], 1)
+        composite_witness([(1, row_set([[(0, Unit.q_power(1))]], 1), None)])
     with pytest.raises(RingMismatch):
-        composite_witness([(1, [[(0, Unit.root_of_unity(3, 1))]], [[(0, Unit.root_of_unity(4, 1))]])], 1)
+        composite_witness([(1, row_set([[(0, Unit.root_of_unity(3, 1))]], 1),
+                            row_set([[(0, Unit.root_of_unity(4, 1))]], 1))])
     with pytest.raises(ValueError):
-        composite_witness([(1, [[(0, 1)]], [[(1, 1)]])], 1)
+        composite_witness([(1, row_set([[(0, 1)]], 1), row_set([[(1, 1)]], 1))])
+    with pytest.raises(ValueError):  # outer reads two columns, inner has one row
+        composite_witness([(1, row_set([[(1, 1)]], 2), row_set([[(0, 1)]], 1))])
 
 
 # -- planted bugs ----------------------------------------------------------------
@@ -188,7 +197,7 @@ def _patch_rows(monkeypatch, twisted, op, degree, edit):
     def rows(self, o, k):
         out = orig(self, o, k)
         if (o, k) == (op, degree) and (self.prefactor is not None) == twisted:
-            out = edit([list(r) for r in out])
+            out = edit(RowSet([dict(r) for r in out], out.N, out.n, out.dens))
         return out
 
     monkeypatch.setattr(OperatorCache, "rows", rows)
@@ -196,10 +205,10 @@ def _patch_rows(monkeypatch, twisted, op, degree, edit):
 
 def test_moved_root_of_unity_fails_b_squared(monkeypatch):
     def move(rows):
-        # the first entry zeta^a becomes zeta^(a+1)
-        i, p = next((i, p) for i, r in enumerate(rows) for p, (_, c) in enumerate(r) if c.__class__ is Unit)
-        col, c = rows[i][p]
-        rows[i][p] = (col, c * Unit.root_of_unity(3, 1))
+        # the first entry zeta^a that is not 1 becomes zeta^(a+1): its code
+        # in Z/6 moves by 2
+        i, col = next((i, col) for i, r in enumerate(rows) for col, e in r.items() if e)
+        rows[i][col] = (rows[i][col] + 2) % 6
         return rows
 
     _patch_rows(monkeypatch, False, "b", 1, move)
@@ -213,8 +222,10 @@ def test_flipped_twisted_b_entry_fails_intertwining(monkeypatch):
     F, chi, group = pre.cochain(), pre.ribbon_weight(), pre.group
 
     def flip(rows):
-        col, c = rows[5][1]
-        rows[5][1] = (col, -c)
+        # the second entry of the first row with two: a code plus N negates
+        i = next(i for i, r in enumerate(rows) if len(r) > 1)
+        col = list(rows[i])[1]
+        rows[i][col] = (rows[i][col] + rows.N) % (2 * rows.N)
         return rows
 
     _patch_rows(monkeypatch, True, "b", 1, flip)

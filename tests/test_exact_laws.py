@@ -23,11 +23,12 @@ from quasicyc.cyclic import (
     space_dim,
 )
 from quasicyc.groups import GroupSpec
-from quasicyc.linalg import rank
+from quasicyc.linalg import entry, rank, row_set
 from quasicyc.presets import builtin
 from quasicyc.scalars import Scalar
 from quasicyc.twist import TransportPrefactor, certificate_ok, verify_transport
 from composite_reference import compose_rows, mixed_counterexamples
+from unit_rows_reference import pairs
 from sampled_reference import (
     MIXED_LAWS,
     sampled_mixed_complex_report,
@@ -96,7 +97,7 @@ def test_exact_intertwining_agrees_with_sampled(F, chi, group, dmax):
 def test_compose_rows_matches_applying_twice(group, chi, outer, inner):
     ops = OperatorCache(group, chi)
     rows_out, rows_in = ops.rows(*outer), ops.rows(*inner)
-    composed = compose_rows(rows_out, rows_in)
+    composed = compose_rows(pairs(rows_out), pairs(rows_in))
     assert all(all(c != 0 for _, c in row) for row in composed)
     rng = random.Random(f"{group.cyclic_orders}{outer}{inner}")
     dim = space_dim(group, inner[1])
@@ -109,7 +110,7 @@ def test_compose_rows_matches_applying_twice(group, chi, outer, inner):
     ]
     for vec, zero in ((ints, 0), (cyc, Scalar.zero())):
         twice = apply_rows(rows_out, apply_rows(rows_in, vec, zero), zero)
-        assert apply_rows(composed, vec, zero) == twice
+        assert apply_rows(row_set(composed, dim), vec, zero) == twice
     # a composite composes again: (outer after inner) after identity
     ident = [[(i, 1)] for i in range(dim)]
     assert compose_rows(composed, ident) == composed
@@ -122,10 +123,10 @@ def test_composed_rows_go_to_rank_and_apply_rows(group, chi):
     rng = random.Random(f"{group.cyclic_orders}{chi}")
     for k in range(3):
         n = space_dim(group, k)
-        assert rank(compose_rows(rows("b", k + 1), rows("b", k)), n) == 0
+        assert rank(row_set(compose_rows(pairs(rows("b", k + 1)), pairs(rows("b", k))), n)) == 0
         # N lambda = N, a composite that is not zero
-        n_lambda = compose_rows(rows("N", k), rows("lambda", k))
-        assert rank(n_lambda, n) == rank(rows("N", k), n) > 0
+        n_lambda = row_set(compose_rows(pairs(rows("N", k)), pairs(rows("lambda", k))), n)
+        assert rank(n_lambda) == rank(rows("N", k)) > 0
         vec = [rng.randint(-3, 3) for _ in range(n)]
         assert apply_rows(n_lambda, vec, 0) == apply_rows(rows("N", k), vec, 0)
 
@@ -224,7 +225,7 @@ def test_conjugator_skipping_inverse_is_caught(monkeypatch):
     assert not certificate_ok(cert)
     status = {r["name"]: r["status"] for r in cert["identities"]}
     # part (a) reads the conjugated pulls; part (b) reads the twisted
-    # store's rows, scaled by OperatorCache._conjugate, which the broken
+    # store's rows, conjugated by its prefactor entries, which the broken
     # pulls do not touch
     failed = {name for name, st in status.items() if st == "fail"}
     assert failed == {
@@ -234,14 +235,12 @@ def test_conjugator_skipping_inverse_is_caught(monkeypatch):
     assert sampled_transport_intertwines_b(OCT_F, OCT_CHI, E3, 2, seed=0) is not None
 
 
-def _inverse_conjugate(store, rows, out_degree, in_degree):
-    """OperatorCache._conjugate with P and P^{-1} swapped: rows of P^{-1} X P."""
-    pref, group = store.prefactor, store.group
-    outs, ins = full_tuples(group, out_degree), full_tuples(group, in_degree)
-    return [
-        [(col, pref.inverse_value(outs[r]) * pref.value(ins[col]) * c) for col, c in row]
-        for r, row in enumerate(rows)
-    ]
+def _inverse_entries(store, k):
+    """OperatorCache._prefactor_entries with P and P^{-1} swapped, so the
+    store's rows are P^{-1} X P."""
+    if k >= 0:
+        return [entry(p.inverse(), store.N) for p in store.prefactor.values(k)]
+    return [entry(p, store.N) for p in store.prefactor.values(~k)]
 
 
 def test_inverse_row_scaling_is_caught(monkeypatch):
@@ -249,7 +248,7 @@ def test_inverse_row_scaling_is_caught(monkeypatch):
     group, chi = GroupSpec((3,)), (1,)
     F = Cochain2.from_expr(group, ("root_of_unity", 3), "i1*i1*j1")
     dims = [cohomology_dims(group, chi, 3, which, twist=F) for which in ("hh", "hc")]
-    monkeypatch.setattr(OperatorCache, "_conjugate", _inverse_conjugate)
+    monkeypatch.setattr(OperatorCache, "_prefactor_entries", _inverse_entries)
     cyclic._operator_store.cache_clear()  # so the twisted store is rebuilt with the patch
     # an invertible row and column scaling keeps every rank, so dims alone
     # cannot see it ...

@@ -19,7 +19,7 @@ def sparse(rows):
 
 def rank_kernel(rows):
     """linalg.rank_kernel of a dense matrix, given as sparse rows."""
-    return linalg.rank_kernel(sparse(rows), len(rows[0]) if rows else 0)
+    return linalg.rank_kernel(linalg.row_set(sparse(rows), len(rows[0]) if rows else 0))
 
 
 def M(rows):
@@ -28,7 +28,7 @@ def M(rows):
 
 def dense_apply(rows, vec):
     """Dense rows applied through the sparse row applier."""
-    return apply_rows([list(enumerate(r)) for r in rows], vec, Scalar.zero())
+    return apply_rows(linalg.row_set([list(enumerate(r)) for r in rows], len(vec)), vec, Scalar.zero())
 
 
 def bareiss_rank_kernel(rows):
@@ -191,7 +191,7 @@ def test_matches_gauss_jordan_reference(rows):
     assert (rank, ker) == linalg_reference.rank_kernel(rows)
     assert (rank, ker) == linalg_reference.echelon_rank_kernel(sparse(rows), len(rows[0]))
     assert all(type(v) is Scalar for vec in ker for v in vec)
-    assert linalg.rank(sparse(rows), len(rows[0])) == rank
+    assert linalg.rank(linalg.row_set(sparse(rows), len(rows[0]))) == rank
 
 
 def fraction_entry(rng, N):
@@ -265,8 +265,8 @@ def dense(pairs, n):
 def test_rank_matches_references_on_sparse_rows(pairs, n):
     before = [list(r) for r in pairs]
     expect = linalg_reference.echelon_rank_kernel(pairs, n)
-    assert linalg.rank_kernel(pairs, n) == expect
-    assert linalg.rank(pairs, n) == expect[0] == linalg_reference.rank_kernel(dense(pairs, n))[0]
+    assert linalg.rank_kernel(linalg.row_set(pairs, n)) == expect
+    assert linalg.rank(linalg.row_set(pairs, n)) == expect[0] == linalg_reference.rank_kernel(dense(pairs, n))[0]
     assert pairs == before
 
 
@@ -281,8 +281,8 @@ def test_rank_over_a_large_field_needs_no_table_of_unit_products():
     linalg._ring.cache_clear()
     tracemalloc.start()
     try:
-        assert linalg.rank(rows, 2) == 2
-        assert linalg.rank(rows[:1] + rows[:1], 2) == 1
+        assert linalg.rank(linalg.row_set(rows, 2)) == 2
+        assert linalg.rank(linalg.row_set(rows[:1] + rows[:1], 2)) == 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -294,8 +294,8 @@ def test_products_memo_stays_within_its_bound(monkeypatch, pairs, n):
     monkeypatch.setattr(linalg, "_MEMO_COORDS", 8)
     linalg._ring.cache_clear()
     try:
-        assert linalg.rank_kernel(pairs, n) == linalg_reference.echelon_rank_kernel(pairs, n)
-        assert len(linalg._ring(8)[3]) <= 8 // 4
+        assert linalg.rank_kernel(linalg.row_set(pairs, n)) == linalg_reference.echelon_rank_kernel(pairs, n)
+        assert len(linalg._ring(8)[2]) <= 8 // 4
     finally:
         linalg._ring.cache_clear()
 
@@ -317,8 +317,8 @@ def field_matrices(draw):
 def test_rank_equals_transpose_rank_and_reference(rows):
     transpose = [list(col) for col in zip(*rows)]
     expect = linalg_reference.rank_kernel(rows)[0]
-    assert linalg.rank(sparse(rows), len(rows[0])) == expect
-    assert linalg.rank(sparse(transpose), len(rows)) == expect
+    assert linalg.rank(linalg.row_set(sparse(rows), len(rows[0]))) == expect
+    assert linalg.rank(linalg.row_set(sparse(transpose), len(rows))) == expect
 
 
 def test_identity():
@@ -396,7 +396,7 @@ def test_column_out_of_range_rejected():
     one = Scalar.one()
     for col in (2, 5, -1):
         with pytest.raises(ValueError):
-            linalg.rank_kernel([[(0, one)], [(col, one)]], 2)
+            linalg.row_set([[(0, one)], [(col, one)]], 2)
 
 
 @pytest.mark.parametrize("row, error", [
@@ -412,7 +412,7 @@ def test_rank_and_rank_kernel_reject_alike(row, error):
     rows = [[(0, Scalar.one())], row]
     for fn in (linalg.rank, linalg.rank_kernel):
         with pytest.raises(error):
-            fn(rows, 2)
+            fn(linalg.row_set(rows, 2))
 
 
 def test_sparse_rows_sum_repeated_columns_and_read_ints_as_units():
@@ -431,18 +431,18 @@ def test_sparse_rows_sum_repeated_columns_and_read_ints_as_units():
         [Scalar.rational(-1), two, zero],
         [zero, zero, z + z],
     ]
-    assert linalg.rank_kernel(rows, 3) == linalg_reference.rank_kernel(dense)
-    assert linalg.rank_kernel(rows, 3)[0] == 3
+    assert linalg.rank_kernel(linalg.row_set(rows, 3)) == linalg_reference.rank_kernel(dense)
+    assert linalg.rank_kernel(linalg.row_set(rows, 3))[0] == 3
 
 
 def test_rows_are_not_mutated():
     rng = random.Random(14)
     for rows in (b_like(rng, 16, 8), roots_of_unity(rng, 8, 5, 7)):
-        pairs = sparse(rows)
-        before = [list(r) for r in pairs]
-        first = linalg.rank_kernel(pairs, len(rows[0]))
-        assert pairs == before
-        assert linalg.rank_kernel(pairs, len(rows[0])) == first
+        stored = linalg.row_set(sparse(rows), len(rows[0]))
+        before = [dict(r) for r in stored]
+        first = linalg.rank_kernel(stored)
+        assert list(stored) == before
+        assert linalg.rank_kernel(stored) == first
 
 
 def test_determinism():

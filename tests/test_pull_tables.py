@@ -1,7 +1,7 @@
 """Pullback tables on finite groups against the per-tuple code they
 replaced.  The store's rows of every operator equal the rows of the
-pull-based atom_rows (dims_reference) entry for entry, +-1 as ints and
-Units otherwise; the finite-group identity_suite equals
+pull-based atom_rows (dims_reference) read by linalg.row_set; the
+finite-group identity_suite equals
 pointwise_reference.identity_suite, counterexamples included, with no
 wrap, under conjugation and under a planted sign slip."""
 
@@ -10,6 +10,7 @@ import pytest
 import dims_reference
 import pointwise_reference as ref
 from composite_reference import compose_rows
+from unit_rows_reference import pairs
 from quasicyc import cyclic
 from quasicyc.cochains import Cochain2
 from quasicyc.cyclic import (
@@ -20,7 +21,7 @@ from quasicyc.cyclic import (
     space_dim,
 )
 from quasicyc.groups import GroupSpec
-from quasicyc.linalg import rank_kernel
+from quasicyc.linalg import rank_kernel, row_set
 from quasicyc.scalars import Unit
 from quasicyc.twist import conjugator
 
@@ -58,10 +59,6 @@ def _atoms(group, chi, op, k):
     return cyclic.s_atoms(group, chi, k)
 
 
-def _types(rows):
-    return [[type(c) for _, c in row] for row in rows]
-
-
 @pytest.mark.parametrize("group, chi, dmax", ROW_PARAMS)
 def test_store_rows_equal_pulled_rows(group, chi, dmax):
     store = OperatorCache(group, chi)
@@ -70,11 +67,11 @@ def test_store_rows_equal_pulled_rows(group, chi, dmax):
         for k in range(1 if op == "B" else 0, dmax + 1):
             want = list(dims_reference.atom_rows(group, _atoms(group, chi, op, k), k + shift))
             got = store.rows(op, k)
-            assert got == want, (op, k)
-            assert _types(got) == _types(want), (op, k)
+            assert got == row_set(want, space_dim(group, k), store.N), (op, k)
             assert len(got) == space_dim(group, k + shift)
-            units += sum(t is Unit for row in _types(got) for t in row)
-    # a character with a value other than +-1 puts Units into the rows
+            units += sum(e.__class__ is int and e % store.N != 0 for row in got for e in row.values())
+    # a character with a value other than +-1 puts other roots of unity
+    # into the rows
     assert (units > 0) == any(v not in (1, -1) for v in _chi_table(group, chi).values())
 
 
@@ -85,16 +82,16 @@ def test_elimination_and_composition_leave_tables_intact():
     rows = {(op, k): store.rows(op, k) for op in OperatorCache.OPS for k in range(1, 3)}
     tables = dict(store.tables)
     assert tables
-    before = {key: [list(r) for r in rs] for key, rs in rows.items()}
-    rank_kernel(rows["b", 2] + rows["lambda_minus_id", 2], 16)
-    rank_kernel(rows["B", 2], 16)
-    compose_rows(rows["b", 2], rows["b", 1])
-    compose_rows(rows["N", 2], rows["lambda", 2])
-    compose_rows(rows["B", 2], rows["b", 1])
+    before = {key: [dict(r) for r in rs] for key, rs in rows.items()}
+    rank_kernel(rows["b", 2] + rows["lambda_minus_id", 2])
+    rank_kernel(rows["B", 2])
+    compose_rows(pairs(rows["b", 2]), pairs(rows["b", 1]))
+    compose_rows(pairs(rows["N", 2]), pairs(rows["lambda", 2]))
+    compose_rows(pairs(rows["B", 2]), pairs(rows["b", 1]))
     assert identity_suite(grp, chi, 2) == ref.identity_suite(grp, chi, 2)
     assert store.tables.keys() == tables.keys()
     assert all(store.tables[key] is table for key, table in tables.items())
-    assert {key: [list(r) for r in store.rows(*key)] for key in rows} == before
+    assert {key: [dict(r) for r in store.rows(*key)] for key in rows} == before
 
 
 def test_character_value_one_is_the_shared_unit():

@@ -5,6 +5,7 @@ import pytest
 from quasicyc.cochains import Cochain2
 from quasicyc.cyclic import (
     CyclicCochain,
+    OperatorCache,
     apply_b,
     apply_lambda,
     cohomology_dims,
@@ -12,6 +13,7 @@ from quasicyc.cyclic import (
     space_dim,
 )
 from quasicyc.groups import GroupSpec, InfiniteGroup, SpecMismatch
+from quasicyc.linalg import entry
 from quasicyc.presets import builtin
 from quasicyc.scalars import Scalar, parse_scalar
 from quasicyc.twist import (
@@ -209,16 +211,19 @@ Z3_NONCOCYCLE_F = Cochain2.from_expr(Z3, ("root_of_unity", 3), "i1*i1*j1")
 
 @pytest.mark.parametrize("F", [OCT_F, Z3_NONCOCYCLE_F], ids=["octonion", "z3_noncocycle"])
 def test_prefactor_lists_equal_pointwise_values(F):
+    # the list of P, and the twisted store's entries of P and P^{-1}
     pref = TransportPrefactor(F)
+    store = OperatorCache(F.group, (0,) * F.group.rank, F)
     for k in range(4):
         tuples = full_tuples(F.group, k)
-        values, signed = pref.values(k), pref.inverses(k)
+        values = pref.values(k)
         assert values == [TransportPrefactor(F).value(t) for t in tuples]
-        assert signed[1] == [TransportPrefactor(F).inverse_value(t) for t in tuples]
-        assert signed[-1] == [-x for x in signed[1]]
-        assert pref.values(k) is values and pref.inverses(k) is signed
+        assert store._prefactor_entries(k) == [entry(p, store.N) for p in values]
+        assert store._prefactor_entries(~k) == [
+            entry(TransportPrefactor(F).inverse_value(t), store.N) for t in tuples]
+        assert pref.values(k) is values
     if F is Z3_NONCOCYCLE_F:
-        assert pref.values(2) != pref.inverses(2)[1]
+        assert store._prefactor_entries(2) != store._prefactor_entries(~2)
 
 
 def test_transport_inverse_undoes_a_noncocycle_transport():

@@ -29,6 +29,7 @@ from quasicyc.cyclic import (
     sample_tuples,
 )
 from quasicyc.groups import GroupSpec
+from quasicyc.linalg import entry, row_set
 from quasicyc.presets import builtin, load
 from quasicyc.scalars import Scalar
 from quasicyc.twist import (
@@ -90,9 +91,11 @@ def test_lists_equal_the_product_loop(make, top):
         for k in degrees:
             want = [prefactor_reference.prefactor(F, t) for t in full_tuples(F.group, k)]
             assert pref.values(k) == want
-            inv = pref.inverses(k)
-            assert inv[1] == [p.inverse() for p in want]
-            assert inv[-1] == [-p.inverse() for p in want]
+        store = OperatorCache(F.group, (0,) * F.group.rank, F)
+        for k in degrees:
+            want = [prefactor_reference.prefactor(F, t) for t in full_tuples(F.group, k)]
+            assert store._prefactor_entries(k) == [entry(p, store.N) for p in want]
+            assert store._prefactor_entries(~k) == [entry(p.inverse(), store.N) for p in want]
 
 
 def _count_lookups(F):
@@ -134,15 +137,15 @@ def test_transport_equals_the_dense_reference():
 
 
 def _count_conjugations(monkeypatch):
-    """(rows id, out degree, in degree) of every conjugation from now on,
-    by any twisted store."""
-    calls, orig = [], OperatorCache._conjugate
+    """(rows id, output rows, input columns) of every conjugation from now
+    on, by any twisted store."""
+    calls, orig = [], cyclic.conjugated
 
-    def counted(store, rows, out_degree, in_degree):
-        calls.append((id(rows), out_degree, in_degree))
-        return orig(store, rows, out_degree, in_degree)
+    def counted(rows, left, right, N):
+        calls.append((id(rows), len(left), len(right)))
+        return orig(rows, left, right, N)
 
-    monkeypatch.setattr(OperatorCache, "_conjugate", counted)
+    monkeypatch.setattr(cyclic, "conjugated", counted)
     return calls
 
 
@@ -152,15 +155,15 @@ def test_hh_and_hc_of_one_twist_build_each_prefactor_and_row_once(monkeypatch):
     conjugated = _count_conjugations(monkeypatch)
     lookups = _count_lookups(F)
     dims = [cohomology_dims(Z4, chi, 2, which, twist=F) for which in ("hh", "hc")]
-    # b on C^0..C^2 reads P on degrees 0..3: one lookup per tuple of degree
-    # >= 1, each built once
-    assert len(lookups) == 4 + 16 + 64
+    # the store fixes its field from F on G x G, once; b on C^0..C^2 reads
+    # P on degrees 0..3: one lookup per tuple of degree >= 1, each built once
+    assert len(lookups) == 16 + 4 + 16 + 64
     # hh conjugates b, hc lambda - id and reads hh's b: six (op, k), once each
     assert len(conjugated) == len(set(conjugated)) == 6
     assert dims == [cohomology_dims(Z4, chi, 2, which) for which in ("hh", "hc")]
     # a rerun and the certificate's part (b) read the same twisted store
     assert [cohomology_dims(Z4, chi, 2, which, twist=F) for which in ("hh", "hc")] == dims
-    assert len(lookups) == 84
+    assert len(lookups) == 100
     cert = verify_transport(F, chi, Z4, 2)
     assert certificate_ok(cert)
     assert len(conjugated) == 6
@@ -180,7 +183,7 @@ def test_a_third_twist_evicts_the_oldest_view():
     gc.collect()
     assert gone() is None
     again = operators(Z4, chi, twists[0]).rows("b", 1)
-    assert again == dims_reference.conjugated_rows(Z4, chi, twists[0], "b", 1)
+    assert again == row_set(dims_reference.conjugated_rows(Z4, chi, twists[0], "b", 1), again.n, again.N)
 
 
 def test_each_twist_reads_its_own_view():
@@ -190,8 +193,8 @@ def test_each_twist_reads_its_own_view():
     for F in (F1, F2, F1):
         for k in range(3):
             for op in ("b", "lambda"):
-                assert operators(Z3, chi, F).rows(op, k) == dims_reference.conjugated_rows(
-                    Z3, chi, F, op, k), (op, k)
+                rows = operators(Z3, chi, F).rows(op, k)
+                assert rows == row_set(dims_reference.conjugated_rows(Z3, chi, F, op, k), rows.n, rows.N), (op, k)
     assert operators(Z3, chi, F1).rows("b", 1) != operators(Z3, chi, F2).rows("b", 1)
     # the certificate of the second twist, with the first one's store cached
     for F in (F2, F1):
